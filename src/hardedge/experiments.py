@@ -39,7 +39,6 @@ __all__ = [
     "run_collision_bound",
     "run_hard_edge_density",
     "run_matrix_eigen_agreement",
-    "null_calibration_pvalues",
 ]
 
 ALPHA = 0.01
@@ -777,16 +776,3 @@ def run_matrix_eigen_agreement(
         thresholds=thresholds,
         seeds=_seed_tuple(rng),
     )
-
-
-def null_calibration_pvalues(
-    n_reps: int, n: int, dim: int, n_perm: int, rng: RandomSource, max_points: int = 2500
-) -> np.ndarray:
-    """p-values of the energy permutation test under the null, for calibration."""
-    ps = np.empty(n_reps)
-    for r in range(n_reps):
-        sub = rng.child(r)
-        a = sub.standard_normal((n, dim))
-        b = sub.standard_normal((n, dim))
-        ps[r] = energy_permutation_test(a, b, n_perm, sub, max_points=max_points)[1]
-    return ps

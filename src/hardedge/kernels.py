@@ -1,11 +1,13 @@
 """Interlacing corner kernels, the fundamental spline and boundary sampling.
 
-The one-level corner kernel is sampled exactly by conjugating the spectrum
-with a Haar unitary and taking the top-left principal submatrix; iterating
-corners gives the multi-level kernel.  Its density is a determinant of
-shifted fundamental splines with a binomial prefactor; the one-level,
-one-point case collapses to the spline itself.  Boundary states are sampled
-through the scalar-plus-rank-one Gaussian matrix construction.
+The N-to-K chain kernel is the law of the spectrum of the top-left K x K
+block of U diag(x) U* with U Haar.  That block needs only the first K
+columns of U, so every corner and chain law is sampled exactly by
+compressing diag(x) with one Haar N x K frame.  The kernel's density is a
+determinant of shifted fundamental splines with a binomial prefactor; the
+one-level, one-point case collapses to the spline itself.  Boundary states
+use the same compression, with an unnormalised Gaussian frame plus the
+scalar term.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ DENSITY_COND_LIMIT = 1e12
 # Stability envelope of the determinant density formula.
 DENSITY_MAX_N = 30
 DENSITY_MAX_K = 6
-# LAPACK batched kernels fall off a performance cliff beyond ~10k stacked
-# matrices on some builds; chunking keeps throughput flat.
-_LA_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -230,61 +229,54 @@ def spline_m_derivative(y, knots, order: int):
 # exact corner sampling
 # ---------------------------------------------------------------------------
 
-def _phase_fix(q, r):
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d /= np.abs(d)
-    return q * d[..., None, :]
+def _haar_frame(rng, shape) -> np.ndarray:
+    """Haar isometries of shape (..., N, K): the phase-fixed thin QR of a
+    complex Ginibre draw of that shape."""
+    q, r = np.linalg.qr(rng.complex_normal(shape))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _compressed_spectrum(x, frame: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Decreasing eigenvalues of F^H diag(x) F + shift I, clipped at zero.
+
+    ``x`` is one spectrum (N,) or one per row (n, N); ``frame`` is (n, N, K).
+    """
+    mats = np.conjugate(np.swapaxes(frame, -1, -2)) @ (x[..., :, None] * frame)
+    mats += shift * np.eye(frame.shape[-1])
+    try:
+        w = np.linalg.eigvalsh(mats)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigensolveFailure(str(exc)) from exc
+    return np.clip(w[..., ::-1], 0.0, None)
 
 
 def haar_unitary(m: int, rng, size: int | None = None) -> np.ndarray:
     """Haar unitary matrices via QR of a complex Ginibre with phase fix."""
-    shape = (m, m) if size is None else (size, m, m)
-    z = rng.complex_normal(shape)
-    if size is None or size <= _LA_CHUNK:
-        return _phase_fix(*np.linalg.qr(z))
-    out = np.empty_like(z)
-    for lo in range(0, size, _LA_CHUNK):
-        block = z[lo : lo + _LA_CHUNK]
-        out[lo : lo + _LA_CHUNK] = _phase_fix(*np.linalg.qr(block))
-    return out
+    return _haar_frame(rng, (m, m) if size is None else (size, m, m))
 
 
-def _eigvalsh_desc(mats: np.ndarray) -> np.ndarray:
-    try:
-        if mats.ndim == 2 or mats.shape[0] <= _LA_CHUNK:
-            w = np.linalg.eigvalsh(mats)
-        else:
-            w = np.concatenate(
-                [
-                    np.linalg.eigvalsh(mats[lo : lo + _LA_CHUNK])
-                    for lo in range(0, mats.shape[0], _LA_CHUNK)
-                ]
-            )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigensolveFailure(str(exc)) from exc
-    return w[..., ::-1]
+def chain_samples(config: OrderedConfig, K: int, n: int, rng) -> np.ndarray:
+    """n independent draws of the N-to-K chain kernel, shape (n, K).
+
+    The K-level chain is the spectrum of the top-left K x K block of
+    U diag(x) U* with U Haar, which sees only the first K columns of U.
+    """
+    if not 1 <= K < config.n:
+        raise DomainError(f"need 1 <= K < N, got K={K}, N={config.n}")
+    return _compressed_spectrum(config.values, _haar_frame(rng, (n, config.n, K)))
 
 
-def _corner_of_spectrum(values_block: np.ndarray, ginibre_block: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the top-left corner after Haar conjugation of diag(values)."""
-    u = _phase_fix(*np.linalg.qr(ginibre_block))
-    mat = (u * values_block[:, None, :]) @ np.conjugate(np.swapaxes(u, -1, -2))
-    return np.clip(_eigvalsh_desc(mat[:, :-1, :-1]), 0.0, None)
+def sample_chain(config: OrderedConfig, K: int, rng) -> OrderedConfig:
+    """Exact draw from the N-to-K chain kernel."""
+    return OrderedConfig(chain_samples(config, K, 1, rng)[0])
 
 
 def corner_samples(config: OrderedConfig, n: int, rng) -> np.ndarray:
     """n independent one-level corner samples, shape (n, N-1)."""
-    x = config.values
-    if x.size < 2:
+    if config.n < 2:
         raise DomainError("corner sampling needs N >= 2")
-    z = rng.complex_normal((n, x.size, x.size))
-    vals = np.broadcast_to(x, (n, x.size))
-    out = np.empty((n, x.size - 1))
-    for lo in range(0, n, _LA_CHUNK):
-        out[lo : lo + _LA_CHUNK] = _corner_of_spectrum(
-            vals[lo : lo + _LA_CHUNK], z[lo : lo + _LA_CHUNK]
-        )
-    return out
+    return chain_samples(config, config.n - 1, n, rng)
 
 
 def sample_corner(config: OrderedConfig, rng) -> OrderedConfig:
@@ -296,34 +288,7 @@ def corner_of_each(values: np.ndarray, rng) -> np.ndarray:
     """One corner draw for each row of spectra: (n, N) -> (n, N-1)."""
     vals = np.asarray(values, dtype=float)
     n, m = vals.shape
-    z = rng.complex_normal((n, m, m))
-    out = np.empty((n, m - 1))
-    for lo in range(0, n, _LA_CHUNK):
-        out[lo : lo + _LA_CHUNK] = _corner_of_spectrum(
-            vals[lo : lo + _LA_CHUNK], z[lo : lo + _LA_CHUNK]
-        )
-    return out
-
-
-def chain_samples(config: OrderedConfig, K: int, n: int, rng) -> np.ndarray:
-    """n independent draws of the K-level chain (iterated corners)."""
-    if not 1 <= K < config.n:
-        raise DomainError(f"need 1 <= K < N, got K={K}, N={config.n}")
-    current = np.broadcast_to(config.values, (n, config.n)).copy()
-    for m in range(config.n, K, -1):
-        z = rng.complex_normal((n, m, m))
-        nxt = np.empty((n, m - 1))
-        for lo in range(0, n, _LA_CHUNK):
-            nxt[lo : lo + _LA_CHUNK] = _corner_of_spectrum(
-                current[lo : lo + _LA_CHUNK], z[lo : lo + _LA_CHUNK]
-            )
-        current = nxt
-    return current
-
-
-def sample_chain(config: OrderedConfig, K: int, rng) -> OrderedConfig:
-    """Exact draw from the N-to-K chain kernel."""
-    return OrderedConfig(chain_samples(config, K, 1, rng)[0])
+    return _compressed_spectrum(vals, _haar_frame(rng, (n, m, m - 1)))
 
 
 def interlaces(y, x, tol: float = 1e-10) -> bool:
@@ -480,19 +445,7 @@ def boundary_corner_samples(
         if not np.all(keep):
             xs = xs[keep]
     scalar = omega.gamma - float(xs.sum())
-    out = np.full((n, K), scalar, dtype=float)
-    if xs.size == 0:
-        return np.clip(out, 0.0, None)
-    xi = rng.complex_normal((n, xs.size, K))
-    if K == 1:
-        vals = scalar + np.einsum("nj,j->n", np.abs(xi[:, :, 0]) ** 2, xs)
-        return np.clip(vals[:, None], 0.0, None)
-    for lo in range(0, n, _LA_CHUNK):
-        block = xi[lo : lo + _LA_CHUNK]
-        mats = np.einsum("njk,j,njl->nkl", block, xs, np.conjugate(block))
-        mats += scalar * np.eye(K)[None, :, :]
-        out[lo : lo + _LA_CHUNK] = _eigvalsh_desc(mats)
-    return np.clip(out, 0.0, None)
+    return _compressed_spectrum(xs, rng.complex_normal((n, xs.size, K)), scalar)
 
 
 def sample_boundary_corner(

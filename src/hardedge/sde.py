@@ -185,6 +185,14 @@ def _advance_batch(x, dt, depth, rng, params, kind):
     return new, failed, rejections
 
 
+def _time_steps(horizon: float, dt: float) -> list[float]:
+    """Step lengths covering [0, horizon]: whole dt steps, then the remainder
+    only when it exceeds floating-point residue."""
+    count = max(int(np.floor(horizon / dt + 1e-9)), 0)
+    rest = horizon - count * dt
+    return [dt] * count + ([rest] if rest > 1e-9 * dt else [])
+
+
 def _halving_depth(dt: float, params: SdeParams) -> int:
     floor = _MIN_DT_FRACTION * params.dt_max
     return max(0, int(np.ceil(np.log2(max(dt / floor, 1.0)))))
@@ -208,15 +216,12 @@ def evolve_ensemble(
     if x.ndim == 1:
         x = x[None, :]
     failed = np.zeros(x.shape[0], dtype=bool)
-    t = 0.0
-    while t < horizon - 1e-15:
-        step = min(dt, horizon - t)
+    for step in _time_steps(horizon, dt):
         depth = _halving_depth(step, params)
         new, fail_now, _ = _advance_batch(x, step, depth, rng, params, integrator)
         keep = ~failed
         x[keep] = new[keep]
         failed |= fail_now
-        t += step
     return x, failed
 
 
@@ -277,12 +282,11 @@ def simulate(
     times = [0.0]
     states = [initial]
     current = initial
-    t = 0.0
     for target in save:
         if target <= 0.0:
             continue
-        while t < target - 1e-15:
-            dt = min(params.dt_max, target - t)
+        t = times[-1]
+        for dt in _time_steps(target - t, params.dt_max):
             try:
                 current, _ = stepper(current, params, dt, rng)
             except StepFailure as exc:
@@ -342,11 +346,8 @@ def step_matrix_sde(H: HermitianState, params: SdeParams, dt: float, rng) -> Her
 def evolve_matrix_ensemble(h0: np.ndarray, params: SdeParams, horizon: float, dt: float, rng):
     """Evolve a stacked batch of Hermitian states to the horizon."""
     h = np.array(h0, dtype=complex)
-    t = 0.0
-    while t < horizon - 1e-15:
-        step = min(dt, horizon - t)
+    for step in _time_steps(horizon, dt):
         h = matrix_step_batch(h, params, step, rng)
-        t += step
     return h
 
 
@@ -378,13 +379,10 @@ def step_1d(x: float, N: int, eta: float, dt: float, rng) -> float:
 def evolve_1d_ensemble(x0: np.ndarray, N: int, eta: float, horizon: float, dt: float, rng):
     """Batched Euler evolution of the 1d diffusion, reflected at zero."""
     x = np.array(x0, dtype=float)
-    t = 0.0
-    while t < horizon - 1e-15:
-        step = min(dt, horizon - t)
+    for step in _time_steps(horizon, dt):
         dw = rng.standard_normal(x.shape) * np.sqrt(step)
         x = x + x * dw + ((1.0 - eta / 2.0 - N) * x + 0.5) * step
         np.clip(x, 0.0, None, out=x)
-        t += step
     return x
 
 

@@ -6,9 +6,11 @@ design: the documented inverse-coordinate kernel constant is inconsistent
 with the equilibrium ensemble it is compared against, as the companion
 diagnostic test demonstrates; all other criteria pass.
 
-Approximate wall-clock on one laptop core: 10 minutes, dominated by the
-intertwining (C07), matrix agreement (C08) and uniform approximation (C12)
-ensembles.
+Measured wall-clock of the whole Tier-1 run (unit and acceptance suites) on
+a 2-core VM: 445-495 s over two runs.  The matrix agreement (C08, 170-186
+s), equilibrium (C10 87-105 s, C09 63-74 s), collision (C11, 46-50 s) and
+intertwining (C07, 28 s) ensembles take most of it; every other criterion
+takes under 6 s.
 """
 
 import json

@@ -193,6 +193,11 @@ class TestCornerSampling:
         cfg = OrderedConfig(vals)
         y = corner_samples(cfg, 1, RandomSource(seed))[0]
         assert interlaces(y, cfg.values)
+        # the K-level chain interlaces N-K times: x_{i+N-K} <= y_i <= x_i
+        k = int(gen.integers(1, n))
+        y = chain_samples(cfg, k, 1, RandomSource(seed, 1))[0]
+        tol = 1e-10 * max(vals[0], 1.0)
+        assert np.all(vals[n - k :] <= y + tol) and np.all(y <= vals[:k] + tol)
 
     @pytest.mark.parametrize("n_pts", [2, 5, 10])
     def test_trace_identity(self, n_pts):
@@ -225,6 +230,23 @@ class TestChain:
         want = 2 / 5 * 15.0
         se = sums.std() / np.sqrt(n)
         assert abs(sums.mean() - want) < 3 * se
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_iterated_corners_match_direct_chain(self, k):
+        # compressing with one Haar N x K frame has the law of N-K
+        # successive one-level corners
+        from hardedge.kernels import corner_of_each
+        from hardedge.stats import energy_permutation_test
+
+        cfg = OrderedConfig([6.0, 5.0, 3.5, 2.0, 1.5, 0.5])
+        n = 5000
+        rng = RandomSource(35, k)
+        current = np.tile(cfg.values, (n, 1))
+        for m in range(cfg.n, k, -1):
+            current = corner_of_each(current, rng.child(m))
+        direct = chain_samples(cfg, k, n, rng.child(0))
+        _, pvalue, _ = energy_permutation_test(current, direct, 300, rng.child(1))
+        assert pvalue > 0.01
 
     def test_invalid_k(self):
         with pytest.raises(DomainError):
