@@ -16,7 +16,9 @@ set of finite-N diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,7 +71,8 @@ class HermitianState:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Outcome of one adaptive step."""
+    """Outcome of one adaptive step.  ``projections`` counts its halvings
+    (rejected proposals re-integrated as two half steps), not PSD projections."""
 
     accepted_dt: float
     substeps: int
@@ -89,30 +92,24 @@ class SmoothFunction:
 # drift fields
 # ---------------------------------------------------------------------------
 
-def _pairwise(x: np.ndarray):
-    """Differences x_i - x_j and products x_i x_j with unit diagonal."""
-    diff = x[..., :, None] - x[..., None, :]
-    n = x.shape[-1]
-    idx = np.arange(n)
-    diff[..., idx, idx] = 1.0
-    return diff, idx
+@lru_cache(maxsize=64)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (i, j) index arrays of shape (n, n-1): row i lists every
+    j != i in increasing order."""
+    i = np.repeat(np.arange(n), n - 1).reshape(n, n - 1)
+    j = np.arange(n - 1) + (np.arange(n - 1) >= i)
+    for a in (i, j):
+        a.setflags(write=False)
+    return i, j
 
 
-def _interaction_eigen(x: np.ndarray) -> np.ndarray:
-    """sum_j x_i x_j / (x_i - x_j) along the last axis."""
-    diff, idx = _pairwise(x)
-    terms = (x[..., :, None] * x[..., None, :]) / diff
-    terms[..., idx, idx] = 0.0
-    return terms.sum(axis=-1)
-
-
-def _interaction_log(x: np.ndarray) -> np.ndarray:
-    """sum_j x_j / (x_i - x_j) along the last axis."""
-    diff, idx = _pairwise(x)
-    terms = np.broadcast_to(x[..., None, :], diff.shape) / diff
-    terms = terms.copy()
-    terms[..., idx, idx] = 0.0
-    return terms.sum(axis=-1)
+def _pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh (x_i, x_j) arrays over the off-diagonal pairs, shaped (..., N, N-1);
+    summing a pair term over the last axis adds it up over j != i in increasing j.
+    The drifts compute their terms in these two buffers: at large N, fresh
+    (..., N, N-1) temporaries would cost more than the arithmetic."""
+    i, j = _pair_index(x.shape[-1])
+    return x[..., i], x[..., j]
 
 
 def _constant_drift(n: int, params: SdeParams) -> float:
@@ -122,17 +119,18 @@ def _constant_drift(n: int, params: SdeParams) -> float:
 def eigen_drift(x: np.ndarray, params: SdeParams) -> np.ndarray:
     """Full drift of the eigenvalue SDE at x (batched over leading axes)."""
     n = x.shape[-1]
-    return -(params.eta / 2.0) * x + _constant_drift(n, params) + _interaction_eigen(x)
+    xi, xj = _pairs(x)
+    diff = xi - xj
+    interaction = np.divide(np.multiply(xi, xj, out=xi), diff, out=xi).sum(axis=-1)
+    return -(params.eta / 2.0) * x + _constant_drift(n, params) + interaction
 
 
 def log_drift(x: np.ndarray, params: SdeParams) -> np.ndarray:
     """Drift of the log-coordinate SDE, expressed through x = exp(y)."""
     n = x.shape[-1]
-    return (
-        -(1.0 + params.eta) / 2.0
-        + _constant_drift(n, params) / x
-        + _interaction_log(x)
-    )
+    xi, xj = _pairs(x)
+    interaction = np.divide(xj, np.subtract(xi, xj, out=xi), out=xi).sum(axis=-1)
+    return -(1.0 + params.eta) / 2.0 + _constant_drift(n, params) / x + interaction
 
 
 # ---------------------------------------------------------------------------
@@ -142,47 +140,41 @@ def log_drift(x: np.ndarray, params: SdeParams) -> np.ndarray:
 def _propose(kind: str, x: np.ndarray, dt: float, dw: np.ndarray, params: SdeParams):
     if kind == "eigen":
         return x + x * dw + eigen_drift(x, params) * dt
-    if kind == "log":
-        return x * np.exp(dw + log_drift(x, params) * dt)
-    raise ValueError(f"unknown integrator {kind!r}")
+    return x * np.exp(dw + log_drift(x, params) * dt)
 
 
 def _accept(kind: str, new: np.ndarray, old: np.ndarray, params: SdeParams) -> np.ndarray:
-    ok = np.all(np.isfinite(new), axis=-1)
+    """Entrywise acceptance; a row is accepted when all its entries are."""
+    good = np.isfinite(new)
+    good[..., :-1] &= new[..., :-1] - new[..., 1:] > params.gap_safety * (old[..., :-1] - old[..., 1:])
     # log steps keep positivity by construction; eigen steps must clear the floor
-    ok &= new[..., -1] > (params.positivity_floor if kind == "eigen" else 0.0)
-    if new.shape[-1] > 1:
-        new_gaps = new[..., :-1] - new[..., 1:]
-        old_gaps = old[..., :-1] - old[..., 1:]
-        ok &= np.all(new_gaps > params.gap_safety * old_gaps, axis=-1)
-    return ok
+    good[..., -1] &= new[..., -1] > (params.positivity_floor if kind == "eigen" else 0.0)
+    return good
 
 
 def _advance_batch(x, dt, depth, rng, params, kind):
-    """Advance all rows by dt.  Returns (new_x, failed_mask, rejections)."""
-    dw = rng.standard_normal(x.shape) * np.sqrt(dt)
-    prop = _propose(kind, x, dt, dw, params)
-    ok = _accept(kind, prop, x, params)
-    new = np.where(ok[:, None], prop, x)
+    """Advance all rows by dt.  Returns (new_x, failed_mask), the mask None
+    when every row was accepted at the first proposal."""
+    prop = _propose(kind, x, dt, rng.standard_normal(x.shape) * math.sqrt(dt), params)
+    good = _accept(kind, prop, x, params)
+    if good.all():
+        return prop, None
+    bad = np.nonzero(~good.all(axis=-1))[0]
     failed = np.zeros(x.shape[0], dtype=bool)
-    rejections = int((~ok).sum())
-    bad = np.nonzero(~ok)[0]
-    if bad.size:
-        if depth <= 0:
-            failed[bad] = True
-        else:
-            sub, f1, r1 = _advance_batch(x[bad], dt / 2.0, depth - 1, rng, params, kind)
-            rejections += r1
-            alive = ~f1
-            if alive.any():
-                s2, f2, r2 = _advance_batch(sub[alive], dt / 2.0, depth - 1, rng, params, kind)
-                sub[alive] = s2
-                rejections += r2
-                f1 = f1.copy()
-                f1[np.nonzero(alive)[0][f2]] = True
-            new[bad] = sub
-            failed[bad] = f1
-    return new, failed, rejections
+    if depth <= 0:
+        prop[bad] = x[bad]
+        failed[bad] = True
+        return prop, failed
+    sub, f1 = _advance_batch(x[bad], dt / 2.0, depth - 1, rng, params, kind)
+    f1 = np.zeros(bad.size, dtype=bool) if f1 is None else f1
+    alive = np.nonzero(~f1)[0]
+    if alive.size:
+        sub[alive], f2 = _advance_batch(sub[alive], dt / 2.0, depth - 1, rng, params, kind)
+        if f2 is not None:
+            f1[alive[f2]] = True
+    prop[bad] = sub
+    failed[bad] = f1
+    return prop, failed
 
 
 def _time_steps(horizon: float, dt: float) -> list[float]:
@@ -212,16 +204,23 @@ def evolve_ensemble(
     mask marks them.  Noise consumption is a deterministic function of the
     rng stream, so identical sources give identical ensembles.
     """
+    if integrator not in ("eigen", "log"):
+        raise DomainError(f"unknown integrator {integrator!r}")
     x = np.array(states, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
     failed = np.zeros(x.shape[0], dtype=bool)
-    for step in _time_steps(horizon, dt):
-        depth = _halving_depth(step, params)
-        new, fail_now, _ = _advance_batch(x, step, depth, rng, params, integrator)
-        keep = ~failed
-        x[keep] = new[keep]
-        failed |= fail_now
+    steps = _time_steps(horizon, dt)
+    depths = {step: _halving_depth(step, params) for step in set(steps)}
+    for step in steps:
+        new, fail_now = _advance_batch(x, step, depths[step], rng, params, integrator)
+        if failed.any():
+            keep = ~failed
+            x[keep] = new[keep]
+        else:
+            x = new
+        if fail_now is not None:
+            failed |= fail_now
     return x, failed
 
 
@@ -232,7 +231,7 @@ def evolve_ensemble(
 def _advance_single(x, dt, params, rng, kind, floor):
     dw = rng.standard_normal(x.shape) * np.sqrt(dt)
     prop = _propose(kind, x[None, :], dt, dw[None, :], params)[0]
-    if _accept(kind, prop[None, :], x[None, :], params)[0]:
+    if _accept(kind, prop, x, params).all():
         return prop, StepReport(accepted_dt=dt, substeps=1, projections=0)
     if dt / 2.0 < floor:
         raise StepFailure(f"halving bottomed out at dt={dt:.3e}")

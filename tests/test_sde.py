@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,87 @@ from hardedge.sde import (
 
 PLAIN = SdeParams(eta=0.0, rescaled=False)
 WIDE = SdeParams(eta=0.0, rescaled=False, dt_max=0.1)
+
+
+def drift_by_loops(x: np.ndarray, params: SdeParams, kind: str) -> np.ndarray:
+    """The eigen or log drift from its defining sums, one particle at a time,
+    adding the interaction terms over j != i in increasing j."""
+    out = np.empty_like(x)
+    for row in np.ndindex(x.shape[:-1]):
+        v = x[row]
+        c = 1.0 / (2.0 * v.size) if params.rescaled else 0.5
+        for i in range(v.size):
+            s = 0.0
+            for j in range(v.size):
+                if j != i:
+                    s += (v[i] * v[j] if kind == "eigen" else v[j]) / (v[i] - v[j])
+            if kind == "eigen":
+                out[row + (i,)] = -(params.eta / 2.0) * v[i] + c + s
+            else:
+                out[row + (i,)] = -(1.0 + params.eta) / 2.0 + c / v[i] + s
+    return out
+
+
+def reference_evolve(x0, params, steps, dt, rng, kind):
+    """The batched Euler engine written plainly: draw for every row, propose,
+    accept, re-integrate the rejected rows as two dt/2 halves (the second only
+    for rows that survived the first), freeze them at depth 0; rows frozen in
+    an earlier step keep their state.  Returns (x, failed, rejections)."""
+
+    def advance(x, h, depth):
+        dw = rng.standard_normal(x.shape) * np.sqrt(h)
+        if kind == "eigen":
+            prop = x + x * dw + eigen_drift(x, params) * h
+        else:
+            prop = x * np.exp(dw + log_drift(x, params) * h)
+        floor = params.positivity_floor if kind == "eigen" else 0.0
+        ok = np.all(np.isfinite(prop), axis=1) & (prop[:, -1] > floor)
+        gaps = prop[:, :-1] - prop[:, 1:]
+        ok &= np.all(gaps > params.gap_safety * (x[:, :-1] - x[:, 1:]), axis=1)
+        new = np.where(ok[:, None], prop, x)
+        failed = np.zeros(len(x), dtype=bool)
+        rejections = int((~ok).sum())
+        bad = np.nonzero(~ok)[0]
+        if bad.size and depth == 0:
+            failed[bad] = True
+        elif bad.size:
+            mid, f1, r1 = advance(x[bad], h / 2.0, depth - 1)
+            rejections += r1
+            alive = np.nonzero(~f1)[0]
+            if alive.size:
+                end, f2, r2 = advance(mid[alive], h / 2.0, depth - 1)
+                mid[alive] = end
+                f1[alive[f2]] = True
+                rejections += r2
+            new[bad] = mid
+            failed[bad] = f1
+        return new, failed, rejections
+
+    x = np.array(x0, dtype=float)
+    failed = np.zeros(len(x), dtype=bool)
+    rejections = 0
+    depth = math.ceil(math.log2(dt / (1e-12 * params.dt_max)))
+    for _ in range(steps):
+        new, fail_now, r = advance(x, dt, depth)
+        x[~failed] = new[~failed]
+        failed |= fail_now
+        rejections += r
+    return x, failed, rejections
+
+
+class PoisonedNoise:
+    """Zero noise, except NaN in the rows that ``poison(call, shape)`` selects;
+    a NaN increment makes a proposal non-finite, so it is rejected."""
+
+    def __init__(self, poison):
+        self.poison = poison
+        self.calls = 0
+
+    def standard_normal(self, size):
+        dw = np.zeros(size)
+        dw[self.poison(self.calls, size)] = np.nan
+        self.calls += 1
+        return dw
 
 
 def sum_sq() -> SmoothFunction:
@@ -157,6 +240,34 @@ class TestSimulate:
             simulate(OrderedConfig([1.0]), PLAIN, 1.0, [2.0], ZeroNoise())
 
 
+class TestDriftDefinition:
+    PARAMS = (SdeParams(eta=0.0, rescaled=False), SdeParams(eta=1.3, rescaled=True))
+
+    def configs(self, N):
+        rng = np.random.default_rng(N)
+        for shape in ((N,), (7, N), (2, 7, N)):
+            yield -np.sort(-rng.uniform(0.1, 4.0, shape), axis=-1)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_equals_defining_sums(self, N):
+        for x in self.configs(N):
+            for params in self.PARAMS:
+                np.testing.assert_array_equal(eigen_drift(x, params), drift_by_loops(x, params, "eigen"))
+                np.testing.assert_array_equal(log_drift(x, params), drift_by_loops(x, params, "log"))
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_matches_defining_sums_large_n(self, N):
+        # numpy's pairwise summation may regroup eight or more terms
+        for x in self.configs(N):
+            for params in self.PARAMS:
+                np.testing.assert_allclose(
+                    eigen_drift(x, params), drift_by_loops(x, params, "eigen"), rtol=1e-13
+                )
+                np.testing.assert_allclose(
+                    log_drift(x, params), drift_by_loops(x, params, "log"), rtol=1e-13
+                )
+
+
 class TestEnsemble:
     def test_matches_single_path_layout(self):
         x0 = np.array([[3.0, 2.0, 1.0]] * 4)
@@ -174,6 +285,56 @@ class TestEnsemble:
         )
         assert failed.all()
         np.testing.assert_array_equal(out, x0)
+
+    @pytest.mark.parametrize("horizon", [0.0, 0.01])
+    def test_unknown_integrator_is_a_domain_error(self, horizon):
+        x0 = np.array([[2.0, 1.0]])
+        with pytest.raises(DomainError):
+            evolve_ensemble(x0, PLAIN, horizon, 1e-3, RandomSource(8), integrator="midpoint")
+
+
+class TestEngineAgainstReference:
+    def check(self, x0, params, steps, dt, kind, noise):
+        want, want_failed, rejections = reference_evolve(x0, params, steps, dt, noise(), kind)
+        got, failed = evolve_ensemble(x0, params, steps * dt, dt, noise(), kind)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(failed, want_failed)
+        return want_failed, rejections
+
+    def test_all_accepted(self):
+        x0 = np.array([[3.0, 2.0, 1.0]] * 8)
+        params = SdeParams(eta=0.5, rescaled=True)
+        failed, rejections = self.check(x0, params, 40, 1e-3, "log", lambda: RandomSource(21))
+        assert rejections == 0 and not failed.any()
+
+    def test_near_tie_halves_without_freezing(self):
+        # eigen step across a 1e-4 gap: at dt = 1e-3 the interaction pushes
+        # the middle particle through the bottom one; a few halvings resolve it
+        x0 = np.array([[3.0, 2.0, 1.0]] * 4 + [[1.0 + 1e-4, 1.0, 0.9]])
+        params = SdeParams(eta=0.5)
+        failed, rejections = self.check(x0, params, 20, 1e-3, "eigen", lambda: RandomSource(22))
+        assert rejections > 0 and not failed.any()
+
+    def test_frozen_rows_mixed_with_healthy_rows(self):
+        x0 = np.array([[1.0 + 5e-13, 1.0]] + [[2.0, 1.0]] * 3)
+        params = SdeParams(dt_max=1.0)
+        failed, _ = self.check(x0, params, 4, 0.25, "eigen", lambda: RandomSource(9))
+        np.testing.assert_array_equal(failed, [True, False, False, False])
+
+    def test_row_failing_in_its_second_half_stays_frozen(self):
+        # row 0 is rejected at dt, accepted over the first dt/2 and rejected
+        # on every try at the second; after that every proposal is accepted
+        depth = 40  # halvings from dt = dt_max down to 1e-12 dt_max
+
+        def poison(call, shape):
+            if call == 0:
+                return 0
+            return slice(None) if 2 <= call < 2 + depth else slice(0)
+
+        x0 = np.array([[3.0, 2.0, 1.0]] * 3)
+        params = SdeParams(dt_max=1e-3)
+        failed, _ = self.check(x0, params, 3, 1e-3, "eigen", lambda: PoisonedNoise(poison))
+        np.testing.assert_array_equal(failed, [True, False, False])
 
 
 class TestMatrixStep:
