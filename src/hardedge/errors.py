@@ -14,7 +14,9 @@ class DomainError(HardedgeError):
 
 
 class StepFailure(HardedgeError):
-    """Adaptive halving hit the minimum step size without an acceptable step."""
+    """Adaptive halving found no acceptable step: the proposal was still
+    rejected at the first sub-step no longer than the halving floor (a fixed
+    fraction of dt_max), which may be up to half that floor."""
 
     def __init__(self, message, time=None):
         super().__init__(message)

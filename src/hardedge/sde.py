@@ -28,7 +28,6 @@ from .errors import DomainError, EigensolveFailure, StepFailure
 
 __all__ = [
     "HermitianState",
-    "StepReport",
     "SmoothFunction",
     "step_eigen_sde",
     "step_log_sde",
@@ -44,7 +43,10 @@ __all__ = [
     "log_drift",
 ]
 
-# Halving below this fraction of dt_max aborts the step.
+# The halving floor, as a fraction of dt_max.  A step of length dt halves at
+# most ceil(log2(dt / floor)) times (never when dt <= floor), so the shortest
+# sub-step it tries is the first one no longer than the floor, which can be as
+# short as floor/2; a row still rejected at that length fails.
 _MIN_DT_FRACTION = 1e-12
 
 
@@ -67,16 +69,6 @@ class HermitianState:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """Outcome of one adaptive step.  ``projections`` counts its halvings
-    (rejected proposals re-integrated as two half steps), not PSD projections."""
-
-    accepted_dt: float
-    substeps: int
-    projections: int
 
 
 @dataclass(frozen=True)
@@ -201,8 +193,9 @@ def evolve_ensemble(
     """Evolve an (n, N) ensemble to the horizon on a dt grid.
 
     Replicas whose halving bottoms out are frozen and flagged; the returned
-    mask marks them.  Noise consumption is a deterministic function of the
-    rng stream, so identical sources give identical ensembles.
+    mask marks them.  Frozen replicas draw no further noise.  Noise
+    consumption is a deterministic function of the rng stream, so identical
+    sources give identical ensembles.
     """
     if integrator not in ("eigen", "log"):
         raise DomainError(f"unknown integrator {integrator!r}")
@@ -213,14 +206,15 @@ def evolve_ensemble(
     steps = _time_steps(horizon, dt)
     depths = {step: _halving_depth(step, params) for step in set(steps)}
     for step in steps:
-        new, fail_now = _advance_batch(x, step, depths[step], rng, params, integrator)
         if failed.any():
-            keep = ~failed
-            x[keep] = new[keep]
+            live = np.nonzero(~failed)[0]
+            x[live], fail_now = _advance_batch(x[live], step, depths[step], rng, params, integrator)
+            if fail_now is not None:
+                failed[live[fail_now]] = True
         else:
-            x = new
-        if fail_now is not None:
-            failed |= fail_now
+            x, fail_now = _advance_batch(x, step, depths[step], rng, params, integrator)
+            if fail_now is not None:
+                failed = fail_now
     return x, failed
 
 
@@ -228,37 +222,24 @@ def evolve_ensemble(
 # public single-path steppers
 # ---------------------------------------------------------------------------
 
-def _advance_single(x, dt, params, rng, kind, floor):
-    dw = rng.standard_normal(x.shape) * np.sqrt(dt)
-    prop = _propose(kind, x[None, :], dt, dw[None, :], params)[0]
-    if _accept(kind, prop, x, params).all():
-        return prop, StepReport(accepted_dt=dt, substeps=1, projections=0)
-    if dt / 2.0 < floor:
-        raise StepFailure(f"halving bottomed out at dt={dt:.3e}")
-    left, r1 = _advance_single(x, dt / 2.0, params, rng, kind, floor)
-    right, r2 = _advance_single(left, dt / 2.0, params, rng, kind, floor)
-    return right, StepReport(
-        accepted_dt=min(r1.accepted_dt, r2.accepted_dt),
-        substeps=r1.substeps + r2.substeps,
-        projections=r1.projections + r2.projections + 1,
-    )
-
-
-def _step_single(state: OrderedConfig, params: SdeParams, dt: float, rng, kind: str):
+def _step_single(state: OrderedConfig, params: SdeParams, dt: float, rng, kind: str) -> OrderedConfig:
+    """One adaptive step of one path: a one-row call of the batched engine."""
     state.require_interior()
     if not 0 < dt <= params.dt_max:
         raise DomainError(f"need 0 < dt <= dt_max={params.dt_max}")
-    floor = _MIN_DT_FRACTION * params.dt_max
-    new, report = _advance_single(state.values.copy(), dt, params, rng, kind, floor)
-    return OrderedConfig(new), report
+    depth = _halving_depth(dt, params)
+    new, failed = _advance_batch(state.values[None, :], dt, depth, rng, params, kind)
+    if failed is not None and failed[0]:
+        raise StepFailure(f"halving bottomed out at dt={dt / 2.0**depth:.3e}")
+    return OrderedConfig(new[0])
 
 
-def step_eigen_sde(state: OrderedConfig, params: SdeParams, dt: float, rng):
+def step_eigen_sde(state: OrderedConfig, params: SdeParams, dt: float, rng) -> OrderedConfig:
     """One adaptive Euler-Maruyama step in the particle coordinates."""
     return _step_single(state, params, dt, rng, "eigen")
 
 
-def step_log_sde(state: OrderedConfig, params: SdeParams, dt: float, rng):
+def step_log_sde(state: OrderedConfig, params: SdeParams, dt: float, rng) -> OrderedConfig:
     """One adaptive Euler-Maruyama step in log coordinates (positivity built in)."""
     return _step_single(state, params, dt, rng, "log")
 
@@ -275,7 +256,6 @@ def simulate(
     save = [float(t) for t in save_times]
     if any(t < 0 or t > horizon for t in save) or np.any(np.diff(save) <= 0):
         raise DomainError("save_times must be increasing within [0, horizon]")
-    stepper = step_eigen_sde if integrator == "eigen" else step_log_sde
     if integrator not in ("eigen", "log"):
         raise DomainError(f"unknown integrator {integrator!r}")
     times = [0.0]
@@ -287,7 +267,7 @@ def simulate(
         t = times[-1]
         for dt in _time_steps(target - t, params.dt_max):
             try:
-                current, _ = stepper(current, params, dt, rng)
+                current = _step_single(current, params, dt, rng, integrator)
             except StepFailure as exc:
                 raise StepFailure(f"step failed at t={t:.6g}", time=t) from exc
             t += dt
@@ -322,7 +302,7 @@ def _project_psd_batch(mats: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def matrix_step_batch(h: np.ndarray, params: SdeParams, dt: float, rng) -> np.ndarray:
-    """Euler step of the Hermitian matrix SDE for a stacked batch."""
+    """Euler step of the Hermitian matrix SDE for an (n, N, N) stack."""
     n = h.shape[-1]
     dg = rng.complex_normal(h.shape) * np.sqrt(2.0 * dt)
     tr = np.trace(h, axis1=-2, axis2=-1).real
@@ -330,16 +310,13 @@ def matrix_step_batch(h: np.ndarray, params: SdeParams, dt: float, rng) -> np.nd
     drift = -(params.eta + n) / 2.0 * h + 0.5 * (1.0 + tr)[..., None, None] * eye
     new = h + 0.5 * (dg @ h + h @ np.conjugate(np.swapaxes(dg, -1, -2))) + drift * dt
     new = (new + np.conjugate(np.swapaxes(new, -1, -2))) / 2.0
-    if new.ndim == 2:
-        projected, _ = _project_psd_batch(new[None])
-        return projected[0]
     projected, _ = _project_psd_batch(new)
     return projected
 
 
 def step_matrix_sde(H: HermitianState, params: SdeParams, dt: float, rng) -> HermitianState:
     """One Euler step of the matrix SDE; re-Hermitised and clipped to PSD."""
-    return HermitianState(matrix_step_batch(H.entries, params, dt, rng))
+    return HermitianState(matrix_step_batch(H.entries[None], params, dt, rng)[0])
 
 
 def evolve_matrix_ensemble(h0: np.ndarray, params: SdeParams, horizon: float, dt: float, rng):
@@ -370,9 +347,9 @@ def step_1d(x: float, N: int, eta: float, dt: float, rng) -> float:
     """Euler step of the 1d diffusion dz = z dw + [(1 - eta/2 - N) z + 1/2] dt."""
     if x < 0:
         raise DomainError("1d state must be nonnegative")
-    dw = float(np.asarray(rng.standard_normal(1))[0]) * np.sqrt(dt)
-    new = x + x * dw + ((1.0 - eta / 2.0 - N) * x + 0.5) * dt
-    return max(new, 0.0)
+    if not dt > 0:
+        raise DomainError("need dt > 0")
+    return float(evolve_1d_ensemble(np.array([x]), N, eta, dt, dt, rng)[0])
 
 
 def evolve_1d_ensemble(x0: np.ndarray, N: int, eta: float, horizon: float, dt: float, rng):

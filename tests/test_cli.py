@@ -72,6 +72,16 @@ class TestSimulate:
         cfg.write_text(json.dumps({"initial": [1.0], "horizon": 0.01, "save_times": [0.01], "bogus": 1}))
         assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 1
 
+    def test_step_failure_exits_two(self, tmp_path, capsys):
+        code = run_cli(
+            tmp_path, "simulate", "--seed", "3", "--set", "initial=[1.0000000000005, 1.0]",
+            "--set", "horizon=1.0", "--set", "save_times=[1.0]", "--set", "dt_max=1.0",
+            "--set", "integrator=\"eigen\"",
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_missing_required_key(self, tmp_path):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"horizon": 0.01, "save_times": [0.01]}))

@@ -46,10 +46,11 @@ def drift_by_loops(x: np.ndarray, params: SdeParams, kind: str) -> np.ndarray:
 
 
 def reference_evolve(x0, params, steps, dt, rng, kind):
-    """The batched Euler engine written plainly: draw for every row, propose,
-    accept, re-integrate the rejected rows as two dt/2 halves (the second only
-    for rows that survived the first), freeze them at depth 0; rows frozen in
-    an earlier step keep their state.  Returns (x, failed, rejections)."""
+    """The batched Euler engine written plainly: draw for every row not yet
+    frozen, propose, accept, re-integrate the rejected rows as two dt/2 halves
+    (the second only for rows that survived the first), freeze them at depth
+    0; frozen rows keep their state and draw nothing.  Returns (x, failed,
+    rejections)."""
 
     def advance(x, h, depth):
         dw = rng.standard_normal(x.shape) * np.sqrt(h)
@@ -85,11 +86,22 @@ def reference_evolve(x0, params, steps, dt, rng, kind):
     rejections = 0
     depth = math.ceil(math.log2(dt / (1e-12 * params.dt_max)))
     for _ in range(steps):
-        new, fail_now, r = advance(x, dt, depth)
-        x[~failed] = new[~failed]
-        failed |= fail_now
+        live = np.nonzero(~failed)[0]
+        x[live], failed[live], r = advance(x[live], dt, depth)
         rejections += r
     return x, failed, rejections
+
+
+class CountingNoise:
+    """A RandomSource that counts its ``standard_normal`` calls."""
+
+    def __init__(self, *key):
+        self.source = RandomSource(*key)
+        self.calls = 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        return self.source.standard_normal(size)
 
 
 class PoisonedNoise:
@@ -117,18 +129,17 @@ def sum_sq() -> SmoothFunction:
 
 class TestEigenStep:
     def test_drift_only_n1_plain(self):
-        out, rep = step_eigen_sde(OrderedConfig([1.0]), WIDE, 0.1, ZeroNoise())
+        out = step_eigen_sde(OrderedConfig([1.0]), WIDE, 0.1, ZeroNoise())
         assert out.values[0] == pytest.approx(1.05)
-        assert rep.substeps == 1 and rep.accepted_dt == 0.1
 
     def test_drift_only_n2_plain(self):
         dt = 1e-4
-        out, _ = step_eigen_sde(OrderedConfig([2.0, 1.0]), PLAIN, dt, ZeroNoise())
+        out = step_eigen_sde(OrderedConfig([2.0, 1.0]), PLAIN, dt, ZeroNoise())
         np.testing.assert_allclose(out.values, [2.0 + 2.5 * dt, 1.0 - 1.5 * dt])
 
     def test_n1_rescaled_equals_plain(self):
         p = SdeParams(eta=0.0, rescaled=True, dt_max=0.1)
-        out, _ = step_eigen_sde(OrderedConfig([1.0]), p, 0.1, ZeroNoise())
+        out = step_eigen_sde(OrderedConfig([1.0]), p, 0.1, ZeroNoise())
         assert out.values[0] == pytest.approx(1.05)
 
     def test_requires_interior(self):
@@ -149,8 +160,8 @@ class TestEigenStep:
         c = 3.7
         dt = 1e-5
         base = np.array([2.0, 1.0])
-        out1, _ = step_eigen_sde(OrderedConfig(base), SdeParams(eta=0.0), dt, rng1)
-        out2, _ = step_eigen_sde(OrderedConfig(c * base), SdeParams(eta=0.0), dt, rng2)
+        out1 = step_eigen_sde(OrderedConfig(base), SdeParams(eta=0.0), dt, rng1)
+        out2 = step_eigen_sde(OrderedConfig(c * base), SdeParams(eta=0.0), dt, rng2)
         drift1 = eigen_drift(base, SdeParams(eta=0.0))
         drift2 = eigen_drift(c * base, SdeParams(eta=0.0))
         noise1 = out1.values - base - drift1 * dt
@@ -165,13 +176,13 @@ class TestEigenStep:
 class TestLogStep:
     def test_stationary_point_n1_rescaled(self):
         p = SdeParams(eta=0.0, rescaled=True, dt_max=0.01)
-        out, _ = step_log_sde(OrderedConfig([1.0]), p, 0.01, ZeroNoise())
+        out = step_log_sde(OrderedConfig([1.0]), p, 0.01, ZeroNoise())
         assert out.values[0] == pytest.approx(1.0)
 
     def test_drift_n1_rescaled_x2(self):
         p = SdeParams(eta=0.0, rescaled=True, dt_max=0.01)
         dt = 0.01
-        out, _ = step_log_sde(OrderedConfig([2.0]), p, dt, ZeroNoise())
+        out = step_log_sde(OrderedConfig([2.0]), p, dt, ZeroNoise())
         assert out.values[0] == pytest.approx(2.0 * np.exp((-0.5 + 0.25) * dt))
 
     def test_ito_consistency_of_drifts(self):
@@ -191,13 +202,13 @@ class TestLogStep:
         # constant; the Ito correction prevents anything better
         dt = 1e-4
         cfg = OrderedConfig([2.0, 1.0])
-        a, _ = step_eigen_sde(cfg, PLAIN, dt, RandomSource(5, 1))
-        b, _ = step_log_sde(cfg, PLAIN, dt, RandomSource(5, 1))
+        a = step_eigen_sde(cfg, PLAIN, dt, RandomSource(5, 1))
+        b = step_log_sde(cfg, PLAIN, dt, RandomSource(5, 1))
         assert np.max(np.abs(a.values - b.values)) < 10 * dt
 
     def test_positivity_automatic(self):
         cfg = OrderedConfig([1e-6])
-        out, _ = step_log_sde(cfg, SdeParams(eta=5.0), 1e-3, RandomSource(6))
+        out = step_log_sde(cfg, SdeParams(eta=5.0), 1e-3, RandomSource(6))
         assert out.values[0] > 0
 
 
@@ -238,6 +249,31 @@ class TestSimulate:
     def test_save_time_validation(self):
         with pytest.raises(DomainError):
             simulate(OrderedConfig([1.0]), PLAIN, 1.0, [2.0], ZeroNoise())
+
+    def test_step_failure_reports_the_start_of_the_failing_step(self):
+        cfg = OrderedConfig([1.0 + 5e-13, 1.0])
+        with pytest.raises(StepFailure) as info:
+            simulate(cfg, SdeParams(dt_max=1.0), 1.0, [1.0], RandomSource(3), "eigen")
+        assert info.value.time == 0.0
+
+    @pytest.mark.parametrize(
+        "x0, kind, halves",
+        [
+            ([3.0, 2.0, 1.0], "log", False),
+            ([3.0, 2.0, 1.0], "eigen", False),
+            ([1.0 + 1e-4, 1.0, 0.9], "eigen", True),
+        ],
+    )
+    def test_one_path_is_one_ensemble_row(self, x0, kind, halves):
+        # same grid and stream; the near-tie case halves along the way
+        steps, dt = 20, 1e-3
+        params = SdeParams(eta=0.5, dt_max=dt)
+        rng = CountingNoise(23, 1)
+        traj = simulate(OrderedConfig(x0), params, steps * dt, [steps * dt], rng, kind)
+        ens, failed = evolve_ensemble(np.array([x0]), params, steps * dt, dt, RandomSource(23, 1), kind)
+        assert not failed.any()
+        np.testing.assert_array_equal(traj.states[-1].values, ens[0])
+        assert (rng.calls > steps) == halves
 
 
 class TestDriftDefinition:
@@ -285,6 +321,18 @@ class TestEnsemble:
         )
         assert failed.all()
         np.testing.assert_array_equal(out, x0)
+
+    def test_frozen_rows_stop_drawing(self):
+        # the near-tie row freezes in the first step after a full halving
+        # recursion; after that only the healthy rows draw, once per step
+        x0 = np.array([[1.0 + 5e-13, 1.0]] + [[2.0, 1.0]] * 3)
+        params = SdeParams(dt_max=1.0)
+        steps, dt = 100, 0.01
+        rng = CountingNoise(9)
+        _, failed = evolve_ensemble(x0, params, steps * dt, dt, rng, "eigen")
+        np.testing.assert_array_equal(failed, [True, False, False, False])
+        depth = math.ceil(math.log2(dt / (1e-12 * params.dt_max)))
+        assert rng.calls == steps + depth
 
     @pytest.mark.parametrize("horizon", [0.0, 0.01])
     def test_unknown_integrator_is_a_domain_error(self, horizon):
@@ -335,6 +383,23 @@ class TestEngineAgainstReference:
         params = SdeParams(dt_max=1e-3)
         failed, _ = self.check(x0, params, 3, 1e-3, "eigen", lambda: PoisonedNoise(poison))
         np.testing.assert_array_equal(failed, [True, False, False])
+
+    def test_row_failing_after_another_froze(self):
+        # row 0 fails on every try in step 1 (calls 0-40); in step 2 only rows
+        # 1 and 2 draw, and row 2 (index 1 of that draw) fails on every try
+        depth = 40
+
+        def poison(call, shape):
+            if call == 0:
+                return 0
+            if call == depth + 1:
+                return 1
+            return slice(None) if call <= 2 * depth + 1 else slice(0)
+
+        x0 = np.array([[3.0, 2.0, 1.0]] * 3)
+        params = SdeParams(dt_max=1e-3)
+        failed, _ = self.check(x0, params, 4, 1e-3, "eigen", lambda: PoisonedNoise(poison))
+        np.testing.assert_array_equal(failed, [True, False, True])
 
 
 class TestMatrixStep:
