@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,8 @@ FLOAT_FMT = ".17g"
 
 def _coerce(value, kind, key):
     try:
+        if isinstance(value, bool) != (kind == "bool"):
+            raise ValueError  # JSON true/false is the bool kind and nothing else
         if kind == "float":
             out = float(value)
         elif kind == "int":
@@ -52,9 +55,7 @@ def _coerce(value, kind, key):
             if out != float(value):
                 raise ValueError
         elif kind == "bool":
-            if isinstance(value, bool):
-                return value
-            raise ValueError
+            out = value
         elif kind == "list":
             out = list(value)
             if not isinstance(value, (list, tuple)):
@@ -114,7 +115,10 @@ def _apply_overrides(document: dict, overrides: list[str]) -> dict:
     return doc
 
 
-def _load_document(path: str | None, overrides: list[str]) -> dict:
+def _load_config(args, keys: dict, context: str) -> dict:
+    """Read --config, apply --set and resolve the result against a command's
+    keys; every command also takes an optional integer seed."""
+    path = args.config
     if path is None:
         doc = {}
     else:
@@ -127,7 +131,8 @@ def _load_document(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config file {path}: invalid JSON at line {exc.lineno}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path}: top level must be an object")
-    return _apply_overrides(doc, overrides)
+    schema = {"seed": ("int", None), **keys}
+    return resolve_config(schema, _apply_overrides(doc, args.set), context)
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -164,34 +169,17 @@ def read_trajectory_csv(path: str):
     return header, data[:, 0], data[:, 1:]
 
 
-def _write_report(path: str, report, config: dict) -> None:
-    doc = report.as_dict()
-    doc["config"] = config
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    schema = {
-        "seed": ("int", None),
-        "initial": ("list", REQUIRED),
-        "eta": ("float", 0.0),
-        "rescaled": ("bool", False),
-        "dt_max": ("float", 1e-3),
-        "gap_safety": ("float", 0.1),
-        "horizon": ("float", REQUIRED),
-        "save_times": ("list", REQUIRED),
-        "integrator": ("str", "log"),
-        "stream": ("int", 0),
-    }
-    cfg = resolve_config(schema, _load_document(args.config, args.set), "simulate")
-    seed = _resolve_seed(args, cfg)
-    cfg["seed"] = seed
+# A command that writes one CSV file: make(cfg, rng) returns (file name,
+# header, rows).  A command that draws nothing has no ``stream`` key: it gets
+# rng=None and never resolves the seed, so a bad HARDEDGE_SEED cannot fail it.
+_Command = NamedTuple("_Command", [("help", str), ("keys", dict), ("make", Callable)])
+
+
+def _simulate(cfg, rng):
     params = SdeParams(
         eta=cfg["eta"], rescaled=cfg["rescaled"], dt_max=cfg["dt_max"], gap_safety=cfg["gap_safety"]
     )
@@ -200,228 +188,249 @@ def _cmd_simulate(args) -> int:
         params,
         cfg["horizon"],
         cfg["save_times"],
-        RandomSource(seed, cfg["stream"]),
+        rng,
         integrator=cfg["integrator"],
     )
-    out = os.path.join(args.out, "trajectory.csv")
-    n = traj.n
-    _write_csv(
-        out,
-        ["t"] + [f"x{i + 1}" for i in range(n)],
-        ([t] + list(state.values) for t, state in zip(traj.times, traj.states)),
-    )
-    print(f"wrote {out}")
-    return 0
+    header = ["t"] + [f"x{i + 1}" for i in range(traj.n)]
+    rows = ([t] + list(state.values) for t, state in zip(traj.times, traj.states))
+    return "trajectory.csv", header, rows
 
 
-def _cmd_sample_kernel(args) -> int:
-    schema = {
-        "seed": ("int", None),
-        "x": ("list", REQUIRED),
-        "K": ("int", REQUIRED),
-        "n": ("int", REQUIRED),
-        "stream": ("int", 0),
-    }
-    cfg = resolve_config(schema, _load_document(args.config, args.set), "sample-kernel")
-    seed = _resolve_seed(args, cfg)
-    samples = chain_samples(
-        OrderedConfig(cfg["x"]), cfg["K"], cfg["n"], RandomSource(seed, cfg["stream"])
-    )
-    out = os.path.join(args.out, "samples.csv")
-    _write_csv(out, [f"y{i + 1}" for i in range(cfg["K"])], samples)
-    print(f"wrote {out}")
-    return 0
+def _sample_kernel(cfg, rng):
+    samples = chain_samples(OrderedConfig(cfg["x"]), cfg["K"], cfg["n"], rng)
+    return "samples.csv", [f"y{i + 1}" for i in range(cfg["K"])], samples
 
 
-def _cmd_sample_equilibrium(args) -> int:
-    schema = {
-        "seed": ("int", None),
-        "N": ("int", REQUIRED),
-        "eta": ("float", REQUIRED),
-        "n": ("int", REQUIRED),
-        "inverse": ("bool", True),
-        "stream": ("int", 0),
-    }
-    cfg = resolve_config(schema, _load_document(args.config, args.set), "sample-equilibrium")
-    seed = _resolve_seed(args, cfg)
+def _sample_equilibrium(cfg, rng):
     sampler = inverse_laguerre_samples if cfg["inverse"] else laguerre_samples
-    samples = sampler(cfg["N"], cfg["eta"], cfg["n"], RandomSource(seed, cfg["stream"]))
-    out = os.path.join(args.out, "samples.csv")
-    _write_csv(out, [f"x{i + 1}" for i in range(cfg["N"])], samples)
-    print(f"wrote {out}")
-    return 0
+    samples = sampler(cfg["N"], cfg["eta"], cfg["n"], rng)
+    return "samples.csv", [f"x{i + 1}" for i in range(cfg["N"])], samples
 
 
-def _cmd_kernel_table(args) -> int:
-    schema = {
-        "seed": ("int", None),
-        "eta": ("float", REQUIRED),
-        "grid": ("list", REQUIRED),
-    }
-    cfg = resolve_config(schema, _load_document(args.config, args.set), "kernel-table")
+def _kernel_table(cfg, rng):
     grid = np.asarray([float(g) for g in cfg["grid"]])
     if grid.size < 1 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ConfigError("grid must be positive and increasing")
-    out = os.path.join(args.out, "kernel.csv")
-    rows = (
-        (x, y, inverse_bessel_kernel(cfg["eta"], x, y)) for x in grid for y in grid
-    )
-    _write_csv(out, ["x", "y", "value"], rows)
+    rows = [(x, y, inverse_bessel_kernel(cfg["eta"], x, y)) for x in grid for y in grid]
+    return "kernel.csv", ["x", "y", "value"], rows
+
+
+_COMMANDS = {
+    "simulate": _Command(
+        "integrate one path and save it",
+        {
+            "initial": ("list", REQUIRED),
+            "eta": ("float", 0.0),
+            "rescaled": ("bool", False),
+            "dt_max": ("float", 1e-3),
+            "gap_safety": ("float", 0.1),
+            "horizon": ("float", REQUIRED),
+            "save_times": ("list", REQUIRED),
+            "integrator": ("str", "log"),
+            "stream": ("int", 0),
+        },
+        _simulate,
+    ),
+    "sample-kernel": _Command(
+        "draw chain-kernel samples",
+        {
+            "x": ("list", REQUIRED),
+            "K": ("int", REQUIRED),
+            "n": ("int", REQUIRED),
+            "stream": ("int", 0),
+        },
+        _sample_kernel,
+    ),
+    "sample-equilibrium": _Command(
+        "draw equilibrium ensemble samples",
+        {
+            "N": ("int", REQUIRED),
+            "eta": ("float", REQUIRED),
+            "n": ("int", REQUIRED),
+            "inverse": ("bool", True),
+            "stream": ("int", 0),
+        },
+        _sample_equilibrium,
+    ),
+    "kernel-table": _Command(
+        "tabulate the inverse Bessel kernel",
+        {
+            "eta": ("float", REQUIRED),
+            "grid": ("list", REQUIRED),
+        },
+        _kernel_table,
+    ),
+}
+
+
+def _cmd(args) -> int:
+    command = _COMMANDS[args.command]
+    cfg = _load_config(args, command.keys, args.command)
+    rng = RandomSource(_resolve_seed(args, cfg), cfg["stream"]) if "stream" in cfg else None
+    name, header, rows = command.make(cfg, rng)
+    out = os.path.join(args.out, name)
+    _write_csv(out, header, rows)
     print(f"wrote {out}")
     return 0
 
 
+class _Experiment(NamedTuple):
+    """An experiment's config keys, with their CLI defaults, and its run_* function.
+
+    ``built`` maps a run_* parameter to (builder, the keys it reads); every
+    other key passes as the keyword argument of the same name.  ``threaded``
+    is False for a run_* function that takes no ``threads``.
+    """
+
+    keys: dict
+    run: Callable
+    built: dict
+    threaded: bool = True
+
+    def pass_through(self) -> list[str]:
+        read = {key for _, names in self.built.values() for key in names}
+        return [key for key in self.keys if key not in read]
+
+    def __call__(self, cfg: dict, rng: RandomSource, threads: int):
+        kwargs = {key: cfg[key] for key in self.pass_through()}
+        for param, (build, names) in self.built.items():
+            kwargs[param] = build(*(cfg[key] for key in names))
+        if self.threaded:
+            kwargs["threads"] = threads
+        return self.run(rng=rng, **kwargs)
+
+
 def _geometric_family(sizes, ratio, scale):
-    return [
-        OrderedConfig(scale * m * ratio ** np.arange(1, m + 1)) for m in sizes
-    ]
+    return [OrderedConfig(scale * m * ratio ** np.arange(1, m + 1)) for m in map(int, sizes)]
 
 
-_EXPERIMENT_SCHEMAS = {
-    "intertwining": {
-        "seed": ("int", None),
-        "x": ("list", REQUIRED),
-        "t": ("float", REQUIRED),
-        "eta": ("float", 0.0),
-        "eta_corner_side": ("float", None),
-        "n": ("int", REQUIRED),
-        "dt": ("float", 5e-4),
-        "n_perm": ("int", 500),
-        "dt_check": ("bool", False),
-    },
-    "uniform-approx": {
-        "seed": ("int", None),
-        "K": ("int", 1),
-        "sizes": ("list", REQUIRED),
-        "ratio": ("float", 0.5),
-        "scale": ("float", 1.0),
-        "bump": ("list", [0.2, 0.8]),
-        "n": ("int", REQUIRED),
-        "threshold": ("float", 0.02),
-    },
-    "equilibrium": {
-        "seed": ("int", None),
-        "N": ("int", REQUIRED),
-        "eta": ("float", REQUIRED),
-        "x0": ("list", None),
-        "t_grid": ("list", REQUIRED),
-        "n": ("int", REQUIRED),
-        "dt": ("float", 1e-3),
-        "n_perm": ("int", 300),
-        "dt_check": ("bool", False),
-    },
-    "coupling-l2": {
-        "seed": ("int", None),
-        "omega_xs": ("list", REQUIRED),
-        "gamma": ("float", None),
-        "N_list": ("list", REQUIRED),
-        "T": ("float", REQUIRED),
-        "dt": ("float", 2e-4),
-        "eta": ("float", 0.0),
-    },
-    "collision-bound": {
-        "seed": ("int", None),
-        "sizes": ("list", REQUIRED),
-        "ratio": ("float", 0.5),
-        "scale": ("float", 1.0),
-        "delta": ("float", REQUIRED),
-        "eps": ("float", REQUIRED),
-        "t": ("float", REQUIRED),
-        "n": ("int", REQUIRED),
-        "eta": ("float", 0.0),
-        "dt": ("float", 1e-3),
-        "dt_check": ("bool", False),
-    },
-    "hard-edge-density": {
-        "seed": ("int", None),
-        "N": ("int", REQUIRED),
-        "eta": ("float", REQUIRED),
-        "n": ("int", REQUIRED),
-        "bins": ("list", REQUIRED),
-        "top": ("int", 3),
-        "min_count": ("int", 100),
-        "tol": ("float", 0.15),
-    },
-    "matrix-eigen-agreement": {
-        "seed": ("int", None),
-        "N": ("int", REQUIRED),
-        "eta": ("float", 0.0),
-        "x0": ("list", REQUIRED),
-        "t": ("float", REQUIRED),
-        "n": ("int", REQUIRED),
-        "dt": ("float", 1e-3),
-        "dt_check": ("bool", False),
-    },
+def _bump(bump):
+    lo, hi = (float(v) for v in bump)
+    return bump_function(lo, hi)
+
+
+def _omega(omega_xs, gamma):
+    xs = np.asarray([float(v) for v in omega_xs])
+    return OmegaPlusPoint(xs, float(xs.sum()) if gamma is None else gamma)
+
+
+_FAMILY = (_geometric_family, ("sizes", "ratio", "scale"))
+
+# Keys are listed by hand, not read from the run_* signatures: several CLI
+# defaults differ from the Python ones, and a benchmark may wrap the run_*
+# names this module imports in signature-less functions.
+_EXPERIMENTS = {
+    "intertwining": _Experiment(
+        {
+            "x": ("list", REQUIRED),
+            "t": ("float", REQUIRED),
+            "eta": ("float", 0.0),
+            "eta_corner_side": ("float", None),
+            "n": ("int", REQUIRED),
+            "dt": ("float", 5e-4),
+            "n_perm": ("int", 500),
+            "dt_check": ("bool", False),
+        },
+        run_intertwining,
+        {"x": (OrderedConfig, ("x",))},
+    ),
+    "uniform-approx": _Experiment(
+        {
+            "K": ("int", 1),
+            "sizes": ("list", REQUIRED),
+            "ratio": ("float", 0.5),
+            "scale": ("float", 1.0),
+            "bump": ("list", [0.2, 0.8]),
+            "n": ("int", REQUIRED),
+            "threshold": ("float", 0.02),
+        },
+        run_uniform_approx,
+        {"g": (_bump, ("bump",)), "config_family": _FAMILY},
+    ),
+    "equilibrium": _Experiment(
+        {
+            "N": ("int", REQUIRED),
+            "eta": ("float", REQUIRED),
+            "x0": ("list", None),
+            "t_grid": ("list", REQUIRED),
+            "n": ("int", REQUIRED),
+            "dt": ("float", 1e-3),
+            "n_perm": ("int", 300),
+            "dt_check": ("bool", False),
+        },
+        run_equilibrium,
+        {"x0": (lambda x0: None if x0 is None else OrderedConfig(x0), ("x0",))},
+    ),
+    "coupling-l2": _Experiment(
+        {
+            "omega_xs": ("list", REQUIRED),
+            "gamma": ("float", None),
+            "N_list": ("list", REQUIRED),
+            "T": ("float", REQUIRED),
+            "dt": ("float", 2e-4),
+            "eta": ("float", 0.0),
+        },
+        run_coupling_l2,
+        {"omega_target": (_omega, ("omega_xs", "gamma"))},
+        threaded=False,
+    ),
+    "collision-bound": _Experiment(
+        {
+            "sizes": ("list", REQUIRED),
+            "ratio": ("float", 0.5),
+            "scale": ("float", 1.0),
+            "delta": ("float", REQUIRED),
+            "eps": ("float", REQUIRED),
+            "t": ("float", REQUIRED),
+            "n": ("int", REQUIRED),
+            "eta": ("float", 0.0),
+            "dt": ("float", 1e-3),
+            "dt_check": ("bool", False),
+        },
+        run_collision_bound,
+        {"x_family": _FAMILY},
+    ),
+    "hard-edge-density": _Experiment(
+        {
+            "N": ("int", REQUIRED),
+            "eta": ("float", REQUIRED),
+            "n": ("int", REQUIRED),
+            "bins": ("list", REQUIRED),
+            "top": ("int", 3),
+            "min_count": ("int", 100),
+            "tol": ("float", 0.15),
+        },
+        run_hard_edge_density,
+        {},
+    ),
+    "matrix-eigen-agreement": _Experiment(
+        {
+            "N": ("int", REQUIRED),
+            "eta": ("float", 0.0),
+            "x0": ("list", REQUIRED),
+            "t": ("float", REQUIRED),
+            "n": ("int", REQUIRED),
+            "dt": ("float", 1e-3),
+            "dt_check": ("bool", False),
+        },
+        run_matrix_eigen_agreement,
+        {"H0": (lambda x0: np.diag(np.asarray(x0, dtype=float)), ("x0",))},
+    ),
 }
-
-
-def _run_experiment(name: str, cfg: dict, rng: RandomSource, threads: int):
-    if name == "intertwining":
-        return run_intertwining(
-            OrderedConfig(cfg["x"]),
-            cfg["t"],
-            cfg["eta"],
-            cfg["n"],
-            rng,
-            dt=cfg["dt"],
-            eta_corner_side=cfg["eta_corner_side"],
-            n_perm=cfg["n_perm"],
-            threads=threads,
-            dt_check=cfg["dt_check"],
-        )
-    if name == "uniform-approx":
-        lo, hi = (float(v) for v in cfg["bump"])
-        family = _geometric_family([int(s) for s in cfg["sizes"]], cfg["ratio"], cfg["scale"])
-        return run_uniform_approx(
-            cfg["K"], bump_function(lo, hi), family, cfg["n"], rng,
-            threshold=cfg["threshold"], threads=threads,
-        )
-    if name == "equilibrium":
-        x0 = None if cfg["x0"] is None else OrderedConfig(cfg["x0"])
-        return run_equilibrium(
-            cfg["N"], cfg["eta"], x0, [float(t) for t in cfg["t_grid"]], cfg["n"], rng,
-            dt=cfg["dt"], n_perm=cfg["n_perm"], threads=threads, dt_check=cfg["dt_check"],
-        )
-    if name == "coupling-l2":
-        xs = np.asarray([float(v) for v in cfg["omega_xs"]])
-        gamma = float(xs.sum()) if cfg["gamma"] is None else cfg["gamma"]
-        return run_coupling_l2(
-            OmegaPlusPoint(xs, gamma), [int(m) for m in cfg["N_list"]],
-            cfg["T"], cfg["dt"], rng, eta=cfg["eta"],
-        )
-    if name == "collision-bound":
-        family = _geometric_family([int(s) for s in cfg["sizes"]], cfg["ratio"], cfg["scale"])
-        return run_collision_bound(
-            family, cfg["delta"], cfg["eps"], cfg["t"], cfg["n"], rng,
-            eta=cfg["eta"], dt=cfg["dt"], threads=threads, dt_check=cfg["dt_check"],
-        )
-    if name == "hard-edge-density":
-        return run_hard_edge_density(
-            cfg["N"], cfg["eta"], cfg["n"], [float(b) for b in cfg["bins"]], rng,
-            top=cfg["top"], min_count=cfg["min_count"], tol=cfg["tol"], threads=threads,
-        )
-    if name == "matrix-eigen-agreement":
-        return run_matrix_eigen_agreement(
-            cfg["N"], cfg["eta"], np.diag(np.asarray(cfg["x0"], dtype=float)),
-            cfg["t"], cfg["n"], rng, dt=cfg["dt"], threads=threads, dt_check=cfg["dt_check"],
-        )
-    raise ConfigError(f"unknown experiment {name!r}")  # pragma: no cover
 
 
 def _cmd_experiment(args) -> int:
     name = args.name
-    if name not in _EXPERIMENT_SCHEMAS:
-        raise ConfigError(
-            f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENT_SCHEMAS)}"
-        )
-    cfg = resolve_config(
-        _EXPERIMENT_SCHEMAS[name], _load_document(args.config, args.set), f"experiment {name}"
-    )
-    seed = _resolve_seed(args, cfg)
-    cfg["seed"] = seed
-    report = _run_experiment(name, cfg, RandomSource(seed), args.threads)
+    if name not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}")
+    experiment = _EXPERIMENTS[name]
+    cfg = _load_config(args, experiment.keys, f"experiment {name}")
+    cfg["seed"] = _resolve_seed(args, cfg)
+    report = experiment(cfg, RandomSource(cfg["seed"]), args.threads)
     out = os.path.join(args.out, "report.json")
-    _write_report(out, report, cfg)
+    with open(out, "w") as fh:
+        json.dump({**report.as_dict(), "config": cfg}, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     stats_csv = os.path.join(args.out, f"{report.name}_statistics.csv")
     with open(stats_csv, "w") as fh:
         fh.write("statistic,value\n")
@@ -449,24 +458,13 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="worker threads (results are identical for any value)")
 
-    p_sim = sub.add_parser("simulate", help="integrate one path and save it")
-    common(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_sk = sub.add_parser("sample-kernel", help="draw chain-kernel samples")
-    common(p_sk)
-    p_sk.set_defaults(func=_cmd_sample_kernel)
-
-    p_se = sub.add_parser("sample-equilibrium", help="draw equilibrium ensemble samples")
-    common(p_se)
-    p_se.set_defaults(func=_cmd_sample_equilibrium)
-
-    p_kt = sub.add_parser("kernel-table", help="tabulate the inverse Bessel kernel")
-    common(p_kt)
-    p_kt.set_defaults(func=_cmd_kernel_table)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        common(p)
+        p.set_defaults(func=_cmd)
 
     p_ex = sub.add_parser("experiment", help="run a named experiment")
-    p_ex.add_argument("name", help=f"one of {sorted(_EXPERIMENT_SCHEMAS)}")
+    p_ex.add_argument("name", help=f"one of {sorted(_EXPERIMENTS)}")
     common(p_ex)
     p_ex.set_defaults(func=_cmd_experiment)
 

@@ -144,7 +144,10 @@ def bessel_kernel(eta: float, x: float, y: float) -> float:
     Off the diagonal this is the divided difference
     [sqrt(x) J_{eta+1}(sqrt(x)) J_eta(sqrt(y)) - (x <-> y)] / (2(x-y));
     within relative separation 1e-6 the analytic diagonal limit is used.
+    Needs eta > -1.
     """
+    if not eta > -1:
+        raise ParameterError(f"need eta > -1, got {eta}")
     if x <= 0 or y <= 0:
         raise DomainError("bessel_kernel needs x, y > 0")
     if abs(x - y) < _DIAGONAL_SWITCH * max(x, y):

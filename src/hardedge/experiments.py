@@ -43,6 +43,7 @@ __all__ = [
 
 ALPHA = 0.01
 _BLOCK = 4096
+_MATRIX_N_PERM = 300  # permutations of the matrix experiment's dt-check energy tests
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,8 @@ def _run_blocks(total: int, worker, rng: RandomSource, threads: int = 1, block: 
     The block layout depends only on ``total`` and ``block``, never on the
     thread count, so results are bit-identical however they are scheduled.
     """
+    if total < 1:
+        raise DomainError(f"need at least one replica, got {total}")
     starts = list(range(0, total, block))
     jobs = [(i, s, min(block, total - s)) for i, s in enumerate(starts)]
     results = [None] * len(jobs)
@@ -174,7 +177,6 @@ def run_intertwining(
     n_perm: int = 500,
     threads: int = 1,
     dt_check: bool = False,
-    max_points: int = 2500,
 ) -> ExperimentReport:
     """Corner-then-evolve versus evolve-then-corner at a common time.
 
@@ -210,9 +212,7 @@ def run_intertwining(
         return a[~fail_a], b[~fail_b], int(fail_a.sum() + fail_b.sum())
 
     a, b, discarded = collect(rng.child(1), n, dt, eta_b)
-    stat, pvalue, null_sd = energy_permutation_test(
-        a, b, n_perm, rng.child(2), max_points=max_points
-    )
+    stat, pvalue, null_sd = energy_permutation_test(a, b, n_perm, rng.child(2))
     ks = ks_per_coordinate(a[: min(len(a), len(b))], b[: min(len(a), len(b))])
 
     statistics = {
@@ -225,9 +225,7 @@ def run_intertwining(
     thresholds = {"energy_pvalue": {"op": ">", "value": ALPHA}}
     if dt_check:
         a2, b2, _ = collect(rng.child(3), min(n, 5000), dt / 2.0, eta_b)
-        stat2, _, null_sd2 = energy_permutation_test(
-            a2, b2, n_perm, rng.child(4), max_points=max_points
-        )
+        stat2, _, null_sd2 = energy_permutation_test(a2, b2, n_perm, rng.child(4))
         statistics["energy_statistic_dt_half"] = stat2
         statistics["dt_stability_margin"] = abs(stat2 - stat) - 3.0 * (null_sd + null_sd2)
         thresholds["dt_stability_margin"] = {"op": "<=", "value": 0.0}
@@ -265,6 +263,8 @@ def run_uniform_approx(
     embedded point by the Gaussian matrix construction; the gaps must
     shrink as the family grows.
     """
+    if not config_family:
+        raise DomainError("need at least one configuration in the family")
     diffs, ses = [], []
     sizes = [cfg.n for cfg in config_family]
     for idx, cfg in enumerate(config_family):
@@ -326,7 +326,6 @@ def run_equilibrium(
     n_perm: int = 300,
     threads: int = 1,
     dt_check: bool = False,
-    max_points: int = 2500,
 ) -> ExperimentReport:
     """Convergence of the N-particle law to the inverse Laguerre ensemble.
 
@@ -337,8 +336,8 @@ def run_equilibrium(
     if eta <= -1:
         raise DomainError("equilibrium requires eta > -1")
     t_grid = [float(t) for t in t_grid]
-    if np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
-        raise DomainError("t_grid must be positive increasing")
+    if not t_grid or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
+        raise DomainError("t_grid must be nonempty, positive and increasing")
 
     def evolve_worker(block_rng, start, count, dt_step):
         params = SdeParams(eta=eta, rescaled=False, dt_max=dt_step)
@@ -368,9 +367,7 @@ def run_equilibrium(
     stats_t, ps_t, sds_t = [], [], []
     for k, sample in enumerate(snaps):
         ref = inverse_laguerre_samples(N, eta, n, rng.child(100 + k))
-        stat, pvalue, null_sd = energy_permutation_test(
-            sample, ref, n_perm, rng.child(200 + k), max_points=max_points
-        )
+        stat, pvalue, null_sd = energy_permutation_test(sample, ref, n_perm, rng.child(200 + k))
         stats_t.append(stat)
         ps_t.append(pvalue)
         sds_t.append(null_sd)
@@ -401,9 +398,7 @@ def run_equilibrium(
     if dt_check:
         snaps2, _ = collect(rng.child(5), min(n, 5000), dt / 2.0)
         ref2 = inverse_laguerre_samples(N, eta, min(n, 5000), rng.child(6))
-        stat2, _, sd2 = energy_permutation_test(
-            snaps2[-1], ref2, n_perm, rng.child(7), max_points=max_points
-        )
+        stat2, _, sd2 = energy_permutation_test(snaps2[-1], ref2, n_perm, rng.child(7))
         statistics["energy_statistic_dt_half"] = stat2
         statistics["dt_stability_margin"] = abs(stat2 - stats_t[-1]) - 3.0 * (sds_t[-1] + sd2)
         thresholds["dt_stability_margin"] = {"op": "<=", "value": 0.0}
@@ -465,8 +460,8 @@ def run_coupling_l2(
     more than 20 percent.  Pathwise experiment: integration failures abort.
     """
     sizes = [int(m) for m in N_list]
-    if np.any(np.diff(sizes) < 0):
-        raise DomainError("N_list must be nondecreasing")
+    if not sizes or np.any(np.diff(sizes) < 0):
+        raise DomainError("N_list must be nonempty and nondecreasing")
     support = int(np.count_nonzero(omega_target.xs))
     if sizes[0] <= support:
         raise DomainError("smallest system must exceed the support size")
@@ -557,6 +552,8 @@ def run_collision_bound(
     """
     if not 0 < delta < 1:
         raise DomainError("need 0 < delta < 1")
+    if not x_family:
+        raise DomainError("need at least one configuration in the family")
     big_c = max(lyapunov_f(cfg, 1) for cfg in x_family)
     bound = (big_c + t / eps) / abs(np.log(delta))
 
@@ -715,12 +712,13 @@ def run_matrix_eigen_agreement(
     n: int,
     rng: RandomSource,
     dt: float = 1e-3,
-    n_perm: int = 300,
     threads: int = 1,
     dt_check: bool = False,
 ) -> ExperimentReport:
     """Matrix-integrator spectra against the direct eigenvalue integrator."""
     h0 = np.asarray(H0, dtype=complex)
+    if h0.shape != (N, N):
+        raise DomainError(f"H0 must be {N}x{N}, got shape {h0.shape}")
     x0 = np.linalg.eigvalsh(h0)[::-1]
     if not (np.all(np.diff(x0) < 0) and x0[-1] > 0):
         raise DomainError("eval(H0) must be strictly interior")
@@ -756,8 +754,8 @@ def run_matrix_eigen_agreement(
     thresholds = {"min_ks_pvalue": {"op": ">", "value": bonferroni}}
     if dt_check:
         a2, b2, _ = collect(rng.child(2), min(n, 5000), dt / 2.0)
-        stat, _, sd = energy_permutation_test(a, b, n_perm, rng.child(3))
-        stat2, _, sd2 = energy_permutation_test(a2, b2, n_perm, rng.child(4))
+        stat, _, sd = energy_permutation_test(a, b, _MATRIX_N_PERM, rng.child(3))
+        stat2, _, sd2 = energy_permutation_test(a2, b2, _MATRIX_N_PERM, rng.child(4))
         statistics["energy_statistic"] = stat
         statistics["energy_statistic_dt_half"] = stat2
         statistics["dt_stability_margin"] = abs(stat2 - stat) - 3.0 * (sd + sd2)

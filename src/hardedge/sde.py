@@ -172,7 +172,9 @@ def _advance_batch(x, dt, depth, rng, params, kind):
 def _time_steps(horizon: float, dt: float) -> list[float]:
     """Step lengths covering [0, horizon]: whole dt steps, then the remainder
     only when it exceeds floating-point residue."""
-    count = max(int(np.floor(horizon / dt + 1e-9)), 0)
+    if not (np.isfinite(dt) and dt > 0 and np.isfinite(horizon) and horizon >= 0):
+        raise DomainError(f"need a finite dt > 0 and horizon >= 0, got dt={dt}, horizon={horizon}")
+    count = int(np.floor(horizon / dt + 1e-9))
     rest = horizon - count * dt
     return [dt] * count + ([rest] if rest > 1e-9 * dt else [])
 
@@ -347,8 +349,6 @@ def step_1d(x: float, N: int, eta: float, dt: float, rng) -> float:
     """Euler step of the 1d diffusion dz = z dw + [(1 - eta/2 - N) z + 1/2] dt."""
     if x < 0:
         raise DomainError("1d state must be nonnegative")
-    if not dt > 0:
-        raise DomainError("need dt > 0")
     return float(evolve_1d_ensemble(np.array([x]), N, eta, dt, dt, rng)[0])
 
 

@@ -220,7 +220,7 @@ def test_c06_generator_martingale():
 def test_c07_intertwining():
     """Corner/evolve exchange in law, with a failing negative control. (< 5 min)"""
     x = OrderedConfig([3.0, 2.0, 1.0])
-    kw = dict(dt=5e-4, n_perm=500, max_points=2500)
+    kw = dict(dt=5e-4, n_perm=500)
     lines = []
     ok_all = True
     for k, eta in enumerate((0.0, 1.0)):

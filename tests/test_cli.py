@@ -1,10 +1,13 @@
+import inspect
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hardedge.cli import main, read_trajectory_csv
+from hardedge.cli import _EXPERIMENTS, main, read_trajectory_csv
 
 
 def run_cli(tmp_path, *argv):
@@ -138,6 +141,31 @@ class TestKernelTable:
     def test_bad_grid(self, tmp_path):
         assert run_cli(tmp_path, "kernel-table", "--set", "eta=1.0", "--set", "grid=[2,1]") == 1
 
+    def test_eta_at_or_below_minus_one_exits_two(self, tmp_path, capsys):
+        code = run_cli(tmp_path, "kernel-table", "--set", "eta=-2", "--set", "grid=[0.5]")
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "kernel.csv").exists()
+
+    def test_invalid_env_seed_is_never_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HARDEDGE_SEED", "not-a-number")
+        assert run_cli(tmp_path, "kernel-table", "--set", "eta=1.0", "--set", "grid=[0.5]") == 0
+
+
+class TestConfigKinds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "intertwining", "--set", "x=[3,2,1]", "--set", "t=0.05",
+             "--set", "n=true"],
+            ["kernel-table", "--set", "eta=true", "--set", "grid=[0.5]"],
+        ],
+        ids=["int", "float"],
+    )
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, *argv) == 1
+        assert "expected" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_pass_and_exit_zero(self, tmp_path):
@@ -189,3 +217,48 @@ class TestExperimentCommand:
         assert main([*args, "--threads", "1", "--out", str(a_dir)]) in (0, 2)
         assert main([*args, "--threads", "8", "--out", str(b_dir)]) in (0, 2)
         assert (a_dir / "report.json").read_bytes() == (b_dir / "report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, settings",
+        [
+            ("equilibrium", ["N=1", "eta=1", "t_grid=[0.1]", "n=0"]),
+            ("equilibrium", ["N=1", "eta=1", "t_grid=[]", "n=10"]),
+            ("collision-bound", ["sizes=[2]", "delta=0.05", "eps=0.1", "t=0.01", "n=0"]),
+            ("collision-bound", ["sizes=[]", "delta=0.05", "eps=0.1", "t=0.01", "n=10"]),
+            ("uniform-approx", ["sizes=[]", "n=10"]),
+            ("coupling-l2", ["omega_xs=[1]", "N_list=[]", "T=0.01"]),
+            ("matrix-eigen-agreement", ["N=2", "x0=[3,2,1]", "t=0.05", "n=50", "dt=0.005"]),
+            ("matrix-eigen-agreement", ["N=3", "x0=[3,2,1]", "t=-0.5", "n=50"]),
+            ("intertwining", ["x=[3,2,1]", "t=-0.1", "n=300", "n_perm=200"]),
+        ],
+        ids=[
+            "equilibrium-n0", "equilibrium-empty-t_grid", "collision-n0", "collision-no-sizes",
+            "uniform-no-sizes", "coupling-empty-N_list", "matrix-H0-not-NxN",
+            "matrix-negative-t", "intertwining-negative-t",
+        ],
+    )
+    def test_malformed_inputs_are_typed_errors(self, tmp_path, capsys, name, settings):
+        argv = ["experiment", name, "--seed", "1"]
+        for item in settings:
+            argv += ["--set", item]
+        assert run_cli(tmp_path, *argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize("name", sorted(_EXPERIMENTS))
+    def test_keys_reach_run_parameters(self, name):
+        experiment = _EXPERIMENTS[name]
+        params = inspect.signature(experiment.run).parameters
+        for key in experiment.pass_through():
+            assert key in params, key
+        for param in experiment.built:
+            assert param in params, param
+        assert "rng" in params
+        assert ("threads" in params) == experiment.threaded
+
+    def test_readme_lists_every_experiment(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listing = re.search(r"Experiment names:(.*?)\n\n", readme, re.S).group(1)
+        assert re.findall(r"`([a-z0-9-]+)`", listing) == list(_EXPERIMENTS)

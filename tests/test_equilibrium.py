@@ -128,6 +128,13 @@ class TestBesselKernel:
         val, _ = quad(lambda u: bessel_kernel(1.0, u, u) / u, 0, np.inf, limit=400)
         assert val == pytest.approx(0.25, abs=1e-6)
 
+    @pytest.mark.parametrize("eta", [-1.0, -2.0, np.nan])
+    def test_parameter_guard(self, eta):
+        with pytest.raises(ParameterError):
+            bessel_kernel(eta, 2.0, 5.0)
+        with pytest.raises(ParameterError):
+            inverse_bessel_kernel(eta, 0.5, 0.5)
+
 
 class TestInverseBesselKernel:
     def test_symmetry(self):

@@ -13,6 +13,7 @@ from hardedge.sde import (
     eigenvalues,
     evolve_1d_ensemble,
     evolve_ensemble,
+    evolve_matrix_ensemble,
     generator_apply,
     log_drift,
     simulate,
@@ -339,6 +340,17 @@ class TestEnsemble:
         x0 = np.array([[2.0, 1.0]])
         with pytest.raises(DomainError):
             evolve_ensemble(x0, PLAIN, horizon, 1e-3, RandomSource(8), integrator="midpoint")
+
+    @pytest.mark.parametrize(
+        "horizon, dt", [(0.1, 0.0), (0.1, -0.1), (0.1, math.nan), (-0.1, 1e-3)]
+    )
+    def test_time_grid_is_validated(self, horizon, dt):
+        with pytest.raises(DomainError):
+            evolve_ensemble(np.array([[2.0, 1.0]]), PLAIN, horizon, dt, RandomSource(8))
+        with pytest.raises(DomainError):
+            evolve_matrix_ensemble(np.diag([2.0, 1.0])[None], PLAIN, horizon, dt, RandomSource(8))
+        with pytest.raises(DomainError):
+            evolve_1d_ensemble(np.ones(3), 2, 0.0, horizon, dt, RandomSource(8))
 
 
 class TestEngineAgainstReference:
