@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .core import OmegaPlusPoint, OrderedConfig, SdeParams
 from .equilibrium import inverse_bessel_kernel, inverse_laguerre_samples, laguerre_samples
-from .errors import ConfigError, HardedgeError
+from .errors import ConfigError, DomainError, HardedgeError
 from .experiments import (
     bump_function,
     run_collision_bound,
@@ -305,8 +305,9 @@ def _geometric_family(sizes, ratio, scale):
 
 
 def _bump(bump):
-    lo, hi = (float(v) for v in bump)
-    return bump_function(lo, hi)
+    if len(bump) != 2:
+        raise DomainError(f"bump needs two entries [lo, hi], got {bump!r}")
+    return bump_function(*(float(v) for v in bump))
 
 
 def _omega(omega_xs, gamma):

@@ -8,19 +8,13 @@ transform of the Bessel kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import jv
 
-from .core import OrderedConfig
 from .errors import ConvergenceFailure, DomainError, ParameterError
 
 __all__ = [
-    "KernelGrid",
-    "sample_laguerre",
-    "sample_inverse_laguerre",
     "laguerre_samples",
     "inverse_laguerre_samples",
     "bessel_j",
@@ -31,37 +25,6 @@ __all__ = [
 # Below this relative separation the divided difference in the kernel
 # cancels catastrophically; switch to the analytic diagonal form.
 _DIAGONAL_SWITCH = 1e-6
-
-
-@dataclass(frozen=True)
-class KernelGrid:
-    """Symmetric kernel evaluations K(x_i, x_j) on an increasing grid."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def __init__(self, points, values):
-        pts = np.asarray(points, dtype=float)
-        vals = np.asarray(values, dtype=float)
-        if pts.ndim != 1 or np.any(np.diff(pts) <= 0) or np.any(pts <= 0):
-            raise DomainError("grid points must be positive and increasing")
-        if vals.shape != (pts.size, pts.size):
-            raise DomainError("values must be a square matrix over the grid")
-        if not np.allclose(vals, vals.T, atol=1e-10):
-            raise DomainError("kernel matrix must be symmetric")
-        if np.any(np.diag(vals) < 0):
-            raise DomainError("kernel diagonal must be nonnegative")
-        pts.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def evaluate(cls, kernel, points) -> "KernelGrid":
-        pts = np.asarray(points, dtype=float)
-        vals = np.array([[kernel(a, b) for b in pts] for a in pts])
-        vals = (vals + vals.T) / 2.0
-        return cls(pts, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +56,10 @@ def laguerre_samples(N: int, eta: float, n: int, rng) -> np.ndarray:
     return out / 2.0
 
 
-def sample_laguerre(N: int, eta: float, rng) -> OrderedConfig:
-    """One draw of the beta=2 Laguerre ensemble, sorted decreasing."""
-    return OrderedConfig(laguerre_samples(N, eta, 1, rng)[0])
-
-
 def inverse_laguerre_samples(N: int, eta: float, n: int, rng) -> np.ndarray:
     """n draws of the inverse Laguerre ensemble (coordinate-wise 1/y, resorted)."""
     y = laguerre_samples(N, eta, n, rng)
     return 1.0 / y[:, ::-1]
-
-
-def sample_inverse_laguerre(N: int, eta: float, rng) -> OrderedConfig:
-    """One draw of the equilibrium ensemble of the N-particle dynamics."""
-    return OrderedConfig(inverse_laguerre_samples(N, eta, 1, rng)[0])
 
 
 # ---------------------------------------------------------------------------

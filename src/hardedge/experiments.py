@@ -26,7 +26,7 @@ from .equilibrium import bessel_kernel, inverse_bessel_kernel, inverse_laguerre_
 from .errors import DomainError, StepFailure
 from .kernels import boundary_corner_samples, chain_samples, corner_of_each, corner_samples
 from .rng import RandomSource
-from .sde import evolve_ensemble, evolve_matrix_ensemble, log_drift
+from .sde import _time_steps, evolve_ensemble, evolve_matrix_ensemble, log_drift
 from .stats import energy_permutation_test, ks_per_coordinate
 
 __all__ = [
@@ -143,17 +143,14 @@ def _run_blocks(total: int, worker, rng: RandomSource, threads: int = 1, block: 
     return results
 
 
-def _stack_blocks(results):
-    arrays, masks = zip(*results)
-    return np.concatenate(arrays), np.concatenate(masks)
-
-
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------
 
 def bump_function(lo: float, hi: float):
     """Smooth compactly supported bump on (lo, hi), one per coordinate, multiplied."""
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise DomainError(f"need finite lo < hi for the bump, got ({lo}, {hi})")
 
     def g(y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -271,16 +268,13 @@ def run_uniform_approx(
         omega = embed(cfg)
 
         def chain_worker(block_rng, start, count, c=cfg):
-            return (g(chain_samples(c, K, count, block_rng)), np.zeros(count, bool))
+            return g(chain_samples(c, K, count, block_rng))
 
         def boundary_worker(block_rng, start, count, om=omega):
-            return (
-                g(boundary_corner_samples(om, K, count, block_rng)),
-                np.zeros(count, bool),
-            )
+            return g(boundary_corner_samples(om, K, count, block_rng))
 
-        ga, _ = _stack_blocks(_run_blocks(n, chain_worker, rng.child(2 * idx), threads))
-        gb, _ = _stack_blocks(_run_blocks(n, boundary_worker, rng.child(2 * idx + 1), threads))
+        ga = np.concatenate(_run_blocks(n, chain_worker, rng.child(2 * idx), threads))
+        gb = np.concatenate(_run_blocks(n, boundary_worker, rng.child(2 * idx + 1), threads))
         diffs.append(abs(float(ga.mean() - gb.mean())))
         ses.append(float(np.hypot(ga.std() / np.sqrt(n), gb.std() / np.sqrt(n))))
 
@@ -465,9 +459,8 @@ def run_coupling_l2(
     support = int(np.count_nonzero(omega_target.xs))
     if sizes[0] <= support:
         raise DomainError("smallest system must exceed the support size")
-    steps = int(round(T / dt)) if T > 0 else 0
-    n_max = sizes[-1]
-    increments = rng.standard_normal((steps, n_max)) * np.sqrt(dt) if steps else None
+    steps = _time_steps(T, dt)
+    increments = rng.standard_normal((len(steps), sizes[-1])) * np.sqrt(steps)[:, None]
 
     states = {m: _lifted_initial(omega_target, m, dt) for m in sizes}
     params = {m: SdeParams(eta=eta, rescaled=True, dt_max=dt) for m in sizes}
@@ -483,7 +476,7 @@ def run_coupling_l2(
     for a, b in pairs:
         sup_disc[(a, b)] = pair_disc(states[a], states[b])
 
-    for s in range(steps):
+    for s, step in enumerate(steps):
         for m in sizes:
             x = states[m]
             dw = increments[s, :m]
@@ -491,7 +484,7 @@ def run_coupling_l2(
             # are capped per step, so a grazing pair exchanges a bounded
             # reflection-like move instead of a catapult (bias vanishes
             # with dt; the sort below relabels grazing pairs)
-            move = np.clip(dw + log_drift(x, params[m]) * dt, -0.5, 0.5)
+            move = np.clip(dw + log_drift(x, params[m]) * step, -0.5, 0.5)
             new = x * np.exp(move)
             if not np.all(np.isfinite(new)):
                 raise StepFailure(f"coupling integration failed for N={m}", time=s * dt)
@@ -548,7 +541,11 @@ def run_collision_bound(
     before the top point falls to eps), under the rescaled dynamics, for
     every configuration in the family; each estimate must sit below
     (C + t/eps)/|log delta| with C the family supremum of the level-1
-    Lyapunov functional.  Integration failures count as collisions.
+    Lyapunov functional.  Replicas step on the particle engine, which
+    halves and re-draws a rejected step, so the order never breaks.  After
+    each grid step a replica that froze, or whose ratio gap 1 - x_2/x_1 is
+    at most delta, is a hit and stops; one whose top point is at most eps
+    retires without a hit.
     """
     if not 0 < delta < 1:
         raise DomainError("need 0 < delta < 1")
@@ -559,42 +556,24 @@ def run_collision_bound(
 
     def worker(block_rng, start, count, cfg, dt_step):
         params = SdeParams(eta=eta, rescaled=True, dt_max=dt_step)
-        state = np.tile(cfg.values, (count, 1))
-        tau = np.zeros(count, bool)       # collision observed
-        resolved = np.zeros(count, bool)  # sigma fired or failure handled
-        for _ in range(int(round(t / dt_step))):
-            active = ~(tau | resolved)
-            if not active.any():
+        x = np.tile(cfg.values, (count, 1))
+        live = np.arange(count)
+        hit = np.zeros(count, bool)
+        for step in _time_steps(t, dt_step):
+            if not live.size:
                 break
-            x = state[active]
-            dw = block_rng.standard_normal(x.shape) * np.sqrt(dt_step)
-            with np.errstate(over="ignore", invalid="ignore"):
-                new = x * np.exp(dw + log_drift(x, params) * dt_step)
-            bad = ~np.all(np.isfinite(new), axis=1)
-            if bad.any():  # conservative: failures count as collisions
-                new[bad] = x[bad]
-            crossed = new[:, 1] >= new[:, 0] if new.shape[1] > 1 else np.zeros(len(new), bool)
-            ratio_hit = (
-                np.abs(1.0 - new[:, 1] / new[:, 0]) <= delta
-                if new.shape[1] > 1
-                else np.zeros(len(new), bool)
-            )
-            hit = bad | crossed | ratio_hit
-            low = (new[:, 0] <= eps) & ~hit
-            new = np.sort(new, axis=1)[:, ::-1]
-            state[active] = new
-            idx = np.nonzero(active)[0]
-            tau[idx[hit]] = True
-            resolved[idx[low]] = True
-        return tau[:, None].astype(float), np.zeros(count, bool)
+            x, froze = evolve_ensemble(x, params, step, step, block_rng)
+            now = froze | (1.0 - x[:, 1] / x[:, 0] <= delta)
+            hit[live[now]] = True
+            keep = ~now & (x[:, 0] > eps)
+            live, x = live[keep], x[keep]
+        return hit
 
     stats, thresholds = {}, {}
     max_excess = -np.inf
     for ci, cfg in enumerate(x_family):
-        hits, _ = _stack_blocks(
-            _run_blocks(
-                n, lambda r, s, c, cf=cfg: worker(r, s, c, cf, dt), rng.child(ci), threads
-            )
+        hits = np.concatenate(
+            _run_blocks(n, lambda r, s, c, cf=cfg: worker(r, s, c, cf, dt), rng.child(ci), threads)
         )
         est = float(hits.mean())
         se = float(np.sqrt(est * (1.0 - est) / n))
@@ -608,12 +587,9 @@ def run_collision_bound(
     if dt_check:
         cfg = x_family[-1]
         n_half = max(n // 2, 200)
-        hits, _ = _stack_blocks(
+        hits = np.concatenate(
             _run_blocks(
-                n_half,
-                lambda r, s, c: worker(r, s, c, cfg, dt / 2.0),
-                rng.child(900),
-                threads,
+                n_half, lambda r, s, c: worker(r, s, c, cfg, dt / 2.0), rng.child(900), threads
             )
         )
         est_half = float(hits.mean())
@@ -666,9 +642,9 @@ def run_hard_edge_density(
 
     def worker(block_rng, start, count):
         samples = inverse_laguerre_samples(N, eta, count, block_rng)
-        return samples[:, :top] / N, np.zeros(count, bool)
+        return samples[:, :top] / N
 
-    tops, _ = _stack_blocks(_run_blocks(n, worker, rng.child(0), threads))
+    tops = np.concatenate(_run_blocks(n, worker, rng.child(0), threads))
     counts, edges = np.histogram(tops.ravel(), bins=bins)
     widths = np.diff(edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
@@ -730,7 +706,7 @@ def run_matrix_eigen_agreement(
             h = np.tile(h0, (count, 1, 1))
             h = evolve_matrix_ensemble(h, params, t, dt_step, block_rng)
             w = np.linalg.eigvalsh(h)[:, ::-1]
-            return np.clip(w, 0.0, None), np.zeros(count, bool)
+            return np.clip(w, 0.0, None)
 
         def eigen_worker(block_rng, start, count):
             # matched plain-Euler discretisation on both sides, so the
@@ -739,8 +715,9 @@ def run_matrix_eigen_agreement(
                 np.tile(x0, (count, 1)), params, t, dt_step, block_rng, "eigen"
             )
 
-        a, _ = _stack_blocks(_run_blocks(total, matrix_worker, sub_rng.child(0), threads))
-        b, fail = _stack_blocks(_run_blocks(total, eigen_worker, sub_rng.child(1), threads))
+        a = np.concatenate(_run_blocks(total, matrix_worker, sub_rng.child(0), threads))
+        eigen = _run_blocks(total, eigen_worker, sub_rng.child(1), threads)
+        b, fail = (np.concatenate(parts) for parts in zip(*eigen))
         return a, b[~fail], int(fail.sum())
 
     a, b, discarded = collect(rng.child(1), n, dt)

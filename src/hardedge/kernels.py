@@ -27,12 +27,11 @@ __all__ = [
     "spline_m_tableau",
     "spline_m_derivative",
     "spline_m_tail_mass",
-    "sample_corner",
-    "sample_chain",
     "corner_samples",
     "chain_samples",
+    "corner_of_each",
     "lambda_kn_density",
-    "sample_boundary_corner",
+    "lambda_k2_cell_masses",
     "boundary_corner_samples",
     "haar_unitary",
     "interlaces",
@@ -267,21 +266,11 @@ def chain_samples(config: OrderedConfig, K: int, n: int, rng) -> np.ndarray:
     return _compressed_spectrum(config.values, _haar_frame(rng, (n, config.n, K)))
 
 
-def sample_chain(config: OrderedConfig, K: int, rng) -> OrderedConfig:
-    """Exact draw from the N-to-K chain kernel."""
-    return OrderedConfig(chain_samples(config, K, 1, rng)[0])
-
-
 def corner_samples(config: OrderedConfig, n: int, rng) -> np.ndarray:
     """n independent one-level corner samples, shape (n, N-1)."""
     if config.n < 2:
         raise DomainError("corner sampling needs N >= 2")
     return chain_samples(config, config.n - 1, n, rng)
-
-
-def sample_corner(config: OrderedConfig, rng) -> OrderedConfig:
-    """Exact draw from the one-level corner kernel; output interlaces input."""
-    return OrderedConfig(corner_samples(config, 1, rng)[0])
 
 
 def corner_of_each(values: np.ndarray, rng) -> np.ndarray:
@@ -446,10 +435,3 @@ def boundary_corner_samples(
             xs = xs[keep]
     scalar = omega.gamma - float(xs.sum())
     return _compressed_spectrum(xs, rng.complex_normal((n, xs.size, K)), scalar)
-
-
-def sample_boundary_corner(
-    omega: OmegaPlusPoint, K: int, truncation_eps: float, rng
-) -> OrderedConfig:
-    """Exact draw of the boundary corner law at level K."""
-    return OrderedConfig(boundary_corner_samples(omega, K, 1, rng, truncation_eps)[0])

@@ -27,14 +27,12 @@ from .core import OrderedConfig, SdeParams, Trajectory
 from .errors import DomainError, EigensolveFailure, StepFailure
 
 __all__ = [
-    "HermitianState",
     "SmoothFunction",
     "step_eigen_sde",
     "step_log_sde",
     "simulate",
-    "step_matrix_sde",
+    "matrix_step_batch",
     "eigenvalues",
-    "step_1d",
     "generator_apply",
     "evolve_ensemble",
     "evolve_matrix_ensemble",
@@ -48,27 +46,6 @@ __all__ = [
 # sub-step it tries is the first one no longer than the floor, which can be as
 # short as floor/2; a row still rejected at that length fails.
 _MIN_DT_FRACTION = 1e-12
-
-
-@dataclass(frozen=True)
-class HermitianState:
-    """N x N complex Hermitian matrix state."""
-
-    entries: np.ndarray
-
-    def __init__(self, entries):
-        arr = np.array(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DomainError("state must be a square matrix")
-        if not np.allclose(arr, arr.conj().T, atol=1e-12):
-            raise DomainError("state must be Hermitian to 1e-12")
-        arr = (arr + arr.conj().T) / 2.0
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -316,11 +293,6 @@ def matrix_step_batch(h: np.ndarray, params: SdeParams, dt: float, rng) -> np.nd
     return projected
 
 
-def step_matrix_sde(H: HermitianState, params: SdeParams, dt: float, rng) -> HermitianState:
-    """One Euler step of the matrix SDE; re-Hermitised and clipped to PSD."""
-    return HermitianState(matrix_step_batch(H.entries[None], params, dt, rng)[0])
-
-
 def evolve_matrix_ensemble(h0: np.ndarray, params: SdeParams, horizon: float, dt: float, rng):
     """Evolve a stacked batch of Hermitian states to the horizon."""
     h = np.array(h0, dtype=complex)
@@ -329,11 +301,10 @@ def evolve_matrix_ensemble(h0: np.ndarray, params: SdeParams, horizon: float, dt
     return h
 
 
-def eigenvalues(H: HermitianState | np.ndarray) -> OrderedConfig:
-    """Decreasing eigenvalues of a Hermitian state, clipped at zero to 1e-10."""
-    mat = H.entries if isinstance(H, HermitianState) else np.asarray(H)
+def eigenvalues(H: np.ndarray) -> OrderedConfig:
+    """Decreasing eigenvalues of a Hermitian matrix, clipped at zero to 1e-10."""
     try:
-        w = np.linalg.eigvalsh(mat)
+        w = np.linalg.eigvalsh(np.asarray(H))
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
     w = w[::-1]
@@ -345,15 +316,9 @@ def eigenvalues(H: HermitianState | np.ndarray) -> OrderedConfig:
 # one-dimensional diffusion
 # ---------------------------------------------------------------------------
 
-def step_1d(x: float, N: int, eta: float, dt: float, rng) -> float:
-    """Euler step of the 1d diffusion dz = z dw + [(1 - eta/2 - N) z + 1/2] dt."""
-    if x < 0:
-        raise DomainError("1d state must be nonnegative")
-    return float(evolve_1d_ensemble(np.array([x]), N, eta, dt, dt, rng)[0])
-
-
 def evolve_1d_ensemble(x0: np.ndarray, N: int, eta: float, horizon: float, dt: float, rng):
-    """Batched Euler evolution of the 1d diffusion, reflected at zero."""
+    """Batched Euler evolution of the 1d diffusion
+    dz = z dw + [(1 - eta/2 - N) z + 1/2] dt, reflected at zero."""
     x = np.array(x0, dtype=float)
     for step in _time_steps(horizon, dt):
         dw = rng.standard_normal(x.shape) * np.sqrt(step)

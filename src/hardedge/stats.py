@@ -16,7 +16,6 @@ from .errors import DomainError, EmptySample
 
 __all__ = [
     "energy_distance",
-    "permutation_pvalue",
     "energy_permutation_test",
     "ks_per_coordinate",
 ]
@@ -100,11 +99,6 @@ def energy_permutation_test(a, b, n_perm: int, rng, max_points: int = 2500):
     null = stat_from_membership(z_perm)
     pvalue = float((1 + np.sum(null >= observed)) / (n_perm + 1))
     return observed, pvalue, float(null.std())
-
-
-def permutation_pvalue(a, b, n_perm: int, rng, max_points: int = 2500) -> float:
-    """p-value of the energy permutation test."""
-    return energy_permutation_test(a, b, n_perm, rng, max_points)[1]
 
 
 def ks_per_coordinate(a, b):

@@ -7,8 +7,8 @@ with the equilibrium ensemble it is compared against, as the companion
 diagnostic test demonstrates; all other criteria pass.
 
 Measured wall-clock of the whole Tier-1 run (unit and acceptance suites) on
-a 2-core VM: 335-344 s over two runs.  The matrix agreement (C08, 165-170
-s), equilibrium (C10 41-42 s, C09 39-44 s), collision (C11, 25-31 s) and
+a 2-core VM: 335-349 s over three runs.  The matrix agreement (C08, 165-170
+s), equilibrium (C10 41-42 s, C09 39-44 s), collision (C11, 25-32 s) and
 intertwining (C07, 13-14 s) ensembles take most of it; every other
 criterion takes under 5 s.
 """

@@ -230,11 +230,19 @@ class TestExperimentCommand:
             ("matrix-eigen-agreement", ["N=2", "x0=[3,2,1]", "t=0.05", "n=50", "dt=0.005"]),
             ("matrix-eigen-agreement", ["N=3", "x0=[3,2,1]", "t=-0.5", "n=50"]),
             ("intertwining", ["x=[3,2,1]", "t=-0.1", "n=300", "n_perm=200"]),
+            ("collision-bound", ["sizes=[2]", "delta=0.05", "eps=0.1", "t=-0.01", "n=10"]),
+            ("collision-bound", ["sizes=[2]", "delta=0.05", "eps=0.1", "t=0.01", "n=10", "dt=0"]),
+            ("coupling-l2", ["omega_xs=[1]", "N_list=[4,8]", "T=-0.01"]),
+            ("coupling-l2", ["omega_xs=[1]", "N_list=[4,8]", "T=0.01", "dt=0"]),
+            ("uniform-approx", ["sizes=[2]", "n=10", "bump=[0.5]"]),
+            ("uniform-approx", ["sizes=[2]", "n=10", "bump=[0.5,0.5]"]),
         ],
         ids=[
             "equilibrium-n0", "equilibrium-empty-t_grid", "collision-n0", "collision-no-sizes",
             "uniform-no-sizes", "coupling-empty-N_list", "matrix-H0-not-NxN",
-            "matrix-negative-t", "intertwining-negative-t",
+            "matrix-negative-t", "intertwining-negative-t", "collision-negative-t",
+            "collision-dt0", "coupling-negative-T", "coupling-dt0", "uniform-bump-one-entry",
+            "uniform-bump-empty-interval",
         ],
     )
     def test_malformed_inputs_are_typed_errors(self, tmp_path, capsys, name, settings):

@@ -14,9 +14,6 @@ from hardedge.kernels import (
     haar_unitary,
     interlaces,
     lambda_kn_density,
-    sample_boundary_corner,
-    sample_chain,
-    sample_corner,
     spline_m,
     spline_m_derivative,
     spline_m_tail_mass,
@@ -176,8 +173,8 @@ class TestCornerSampling:
 
     def test_tied_input_is_deterministic(self):
         cfg = OrderedConfig([2.0, 2.0, 2.0])
-        out = sample_corner(cfg, RandomSource(22))
-        np.testing.assert_allclose(out.values, [2.0, 2.0], atol=1e-10)
+        out = corner_samples(cfg, 1, RandomSource(22))[0]
+        np.testing.assert_allclose(out, [2.0, 2.0], atol=1e-10)
 
     def test_interlacing_holds(self):
         cfg = OrderedConfig([5.0, 3.5, 2.0, 0.5])
@@ -220,8 +217,8 @@ class TestChain:
 
     def test_tied_chain(self):
         cfg = OrderedConfig([3.0, 3.0, 3.0, 3.0])
-        out = sample_chain(cfg, 2, RandomSource(32))
-        np.testing.assert_allclose(out.values, [3.0, 3.0], atol=1e-9)
+        out = chain_samples(cfg, 2, 1, RandomSource(32))[0]
+        np.testing.assert_allclose(out, [3.0, 3.0], atol=1e-9)
 
     def test_chain_trace_identity(self):
         cfg = OrderedConfig([5.0, 4.0, 3.0, 2.0, 1.0])
@@ -250,7 +247,7 @@ class TestChain:
 
     def test_invalid_k(self):
         with pytest.raises(DomainError):
-            sample_chain(OrderedConfig([2.0, 1.0]), 2, RandomSource(34))
+            chain_samples(OrderedConfig([2.0, 1.0]), 2, 1, RandomSource(34))
 
 
 class TestDensity:
@@ -322,8 +319,8 @@ class TestDensity:
 class TestBoundaryCorner:
     def test_zero_support_is_scalar(self):
         om = OmegaPlusPoint([0.0], gamma=1.7)
-        out = sample_boundary_corner(om, 3, 1e-12, RandomSource(51))
-        np.testing.assert_allclose(out.values, [1.7, 1.7, 1.7], atol=1e-12)
+        out = boundary_corner_samples(om, 3, 1, RandomSource(51), truncation_eps=1e-12)[0]
+        np.testing.assert_allclose(out, [1.7, 1.7, 1.7], atol=1e-12)
 
     def test_level_one_mean_is_gamma(self):
         om = OmegaPlusPoint([0.4, 0.2, 0.1], gamma=1.0)

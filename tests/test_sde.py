@@ -7,7 +7,6 @@ from hardedge.core import OrderedConfig, SdeParams
 from hardedge.errors import DomainError, StepFailure
 from hardedge.rng import RandomSource, ZeroNoise
 from hardedge.sde import (
-    HermitianState,
     SmoothFunction,
     eigen_drift,
     eigenvalues,
@@ -16,11 +15,10 @@ from hardedge.sde import (
     evolve_matrix_ensemble,
     generator_apply,
     log_drift,
+    matrix_step_batch,
     simulate,
-    step_1d,
     step_eigen_sde,
     step_log_sde,
-    step_matrix_sde,
 )
 
 PLAIN = SdeParams(eta=0.0, rescaled=False)
@@ -416,65 +414,61 @@ class TestEngineAgainstReference:
 
 class TestMatrixStep:
     def test_scalar_drift_reduction(self):
-        h = HermitianState([[1.0]])
-        out = step_matrix_sde(h, PLAIN, 0.1, ZeroNoise())
-        assert out.entries[0, 0].real == pytest.approx(1.05)
+        out = matrix_step_batch(np.ones((1, 1, 1), complex), PLAIN, 0.1, ZeroNoise())
+        assert out[0, 0, 0].real == pytest.approx(1.05)
 
     def test_drift_at_zero(self):
-        h = HermitianState(np.zeros((3, 3)))
-        out = step_matrix_sde(h, SdeParams(eta=0.7), 0.01, ZeroNoise())
-        np.testing.assert_allclose(out.entries, 0.005 * np.eye(3), atol=1e-15)
+        h = np.zeros((1, 3, 3), complex)
+        out = matrix_step_batch(h, SdeParams(eta=0.7), 0.01, ZeroNoise())
+        np.testing.assert_allclose(out[0], 0.005 * np.eye(3), atol=1e-15)
 
     def test_trace_drift_linearity(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = HermitianState(a @ a.conj().T / 4)
+        h = a @ a.conj().T / 4
         eta, dt = 1.3, 1e-5
-        out = step_matrix_sde(h, SdeParams(eta=eta), dt, ZeroNoise())
-        tr0 = np.trace(h.entries).real
-        tr1 = np.trace(out.entries).real
+        out = matrix_step_batch(h[None], SdeParams(eta=eta), dt, ZeroNoise())
+        tr0 = np.trace(h).real
+        tr1 = np.trace(out[0]).real
         want = tr0 + (-(eta + 4) / 2 * tr0 + 4 / 2 * (1 + tr0)) * dt
         assert tr1 == pytest.approx(want, rel=1e-10)
 
     def test_projection_keeps_psd(self):
-        h = HermitianState(np.diag([1e-8, 0.0]))
-        state = h.entries
+        state = np.diag([1e-8, 0.0]).astype(complex)[None]
         rng = RandomSource(10)
         for _ in range(50):
-            state = step_matrix_sde(HermitianState(state), PLAIN, 1e-3, rng).entries
+            state = matrix_step_batch(state, PLAIN, 1e-3, rng)
+            np.testing.assert_allclose(state, np.conj(np.swapaxes(state, -1, -2)), atol=1e-12)
             w = np.linalg.eigvalsh(state)
             assert w.min() >= -1e-14
-
-    def test_hermitian_validation(self):
-        with pytest.raises(DomainError):
-            HermitianState([[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestEigenvalues:
     def test_sorted(self):
-        out = eigenvalues(HermitianState(np.diag([3.0, 1.0, 2.0])))
+        out = eigenvalues(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(out.values, [3.0, 2.0, 1.0])
 
     def test_rank_one(self):
         v = np.array([0.5, 0.5, 0.5, 0.5])
-        out = eigenvalues(HermitianState(np.outer(v, v)))
+        out = eigenvalues(np.outer(v, v))
         np.testing.assert_allclose(out.values, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         h = a @ a.conj().T
-        out = eigenvalues(HermitianState(h))
+        out = eigenvalues(h)
         assert out.values.sum() == pytest.approx(np.trace(h).real, rel=1e-9)
 
 
 class Test1d:
     def test_entrance_from_zero(self):
-        assert step_1d(0.0, 3, 1.0, 0.01, ZeroNoise()) == pytest.approx(0.005)
+        out = evolve_1d_ensemble(np.array([0.0]), 3, 1.0, 0.01, 0.01, ZeroNoise())
+        assert out[0] == pytest.approx(0.005)
 
     def test_drift_n1(self):
-        out = step_1d(1.0, 1, 0.0, 0.01, ZeroNoise())
-        assert out == pytest.approx(1.0 + 0.5 * 0.01)
+        out = evolve_1d_ensemble(np.array([1.0]), 1, 0.0, 0.01, 0.01, ZeroNoise())
+        assert out[0] == pytest.approx(1.0 + 0.5 * 0.01)
 
     def test_n1_parameterisation_matches_eigen_sde(self):
         # (1 - eta/2 - N) x + 1/2 at N=1 equals the plain N=1 particle drift

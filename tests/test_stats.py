@@ -7,7 +7,6 @@ from hardedge.stats import (
     energy_distance,
     energy_permutation_test,
     ks_per_coordinate,
-    permutation_pvalue,
 )
 
 
@@ -46,28 +45,28 @@ class TestPermutationTest:
     def test_rejects_small_n_perm(self):
         a = np.zeros((10, 1))
         with pytest.raises(DomainError):
-            permutation_pvalue(a, a, 50, RandomSource(0))
+            energy_permutation_test(a, a, 50, RandomSource(0))
 
     def test_null_p_not_small(self):
         rng = RandomSource(3)
         a = rng.standard_normal((500, 2))
         b = rng.standard_normal((500, 2))
-        p = permutation_pvalue(a, b, 200, rng)
+        _, p, _ = energy_permutation_test(a, b, 200, rng)
         assert p > 0.01
 
     def test_power_at_five_sigma(self):
         rng = RandomSource(4)
         a = rng.standard_normal((400, 1))
         b = rng.standard_normal((400, 1)) + 5.0
-        p = permutation_pvalue(a, b, 200, rng)
+        _, p, _ = energy_permutation_test(a, b, 200, rng)
         assert p < 0.01
 
     def test_reproducible_with_subsampling(self):
         base = RandomSource(5)
         a = base.standard_normal((4000, 2))
         b = base.standard_normal((4000, 2))
-        p1 = permutation_pvalue(a, b, 200, RandomSource(6), max_points=500)
-        p2 = permutation_pvalue(a, b, 200, RandomSource(6), max_points=500)
+        _, p1, _ = energy_permutation_test(a, b, 200, RandomSource(6), max_points=500)
+        _, p2, _ = energy_permutation_test(a, b, 200, RandomSource(6), max_points=500)
         assert p1 == p2
 
     def test_matches_direct_statistic(self):
