@@ -101,17 +101,10 @@ def _apply_overrides(document: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        target = doc
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ConfigError(f"--set path {key!r} crosses a non-object value")
         try:
-            value = json.loads(raw)
+            doc[key] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        target[parts[-1]] = value
+            doc[key] = raw
     return doc
 
 
@@ -453,7 +446,7 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key (dotted paths allowed)")
+                       help="override a config key")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,

@@ -41,6 +41,8 @@ def laguerre_samples(N: int, eta: float, n: int, rng) -> np.ndarray:
         raise ParameterError(f"need eta > -1, got {eta}")
     if N < 1:
         raise DomainError("need N >= 1")
+    if n < 1:
+        raise DomainError(f"need n >= 1 draws, got {n}")
     # chi_k draws enter through their squares: chi^2_k = Gamma(k/2, scale 2)
     diag_sq = rng.gamma(eta + N - np.arange(N), scale=2.0, size=(n, N))
     if N == 1:

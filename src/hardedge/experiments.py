@@ -118,29 +118,47 @@ def _seed_tuple(rng) -> tuple:
 # replica-block parallelism
 # ---------------------------------------------------------------------------
 
-def _run_blocks(total: int, worker, rng: RandomSource, threads: int = 1, block: int = _BLOCK):
-    """worker(block_rng, start, count) -> array of rows; deterministic order.
+def _run_blocks(total: int, worker, rng: RandomSource, threads: int):
+    """Rows of ``total`` replicas, drawn block by block.
 
-    The block layout depends only on ``total`` and ``block``, never on the
-    thread count, so results are bit-identical however they are scheduled.
+    ``worker(block_rng, count)`` returns an array, or a tuple of arrays, with
+    ``count`` rows; the result is their concatenation in block order (a tuple
+    of concatenations for a tuple worker).  The block layout depends only on
+    ``total``, never on the thread count, so results are bit-identical however
+    they are scheduled.
     """
     if total < 1:
         raise DomainError(f"need at least one replica, got {total}")
-    starts = list(range(0, total, block))
-    jobs = [(i, s, min(block, total - s)) for i, s in enumerate(starts)]
-    results = [None] * len(jobs)
+    counts = [min(_BLOCK, total - start) for start in range(0, total, _BLOCK)]
 
-    def run(job):
-        i, start, count = job
-        results[i] = worker(rng.child(i), start, count)
+    def run(i):
+        return worker(rng.child(i), counts[i])
 
-    if threads <= 1 or len(jobs) == 1:
-        for job in jobs:
-            run(job)
+    if threads <= 1 or len(counts) == 1:
+        blocks = [run(i) for i in range(len(counts))]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, jobs))
-    return results
+            blocks = list(pool.map(run, range(len(counts))))
+    if isinstance(blocks[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    return np.concatenate(blocks)
+
+
+def _monotone_margin(values, ses) -> float:
+    """Largest rise between consecutive values beyond two standard errors of
+    each; at most 0 when the sequence decreases up to Monte Carlo noise."""
+    return max(
+        (values[k + 1] - values[k] - 2.0 * (ses[k] + ses[k + 1]) for k in range(len(values) - 1)),
+        default=0.0,
+    )
+
+
+def _attach_dt_half(statistics: dict, thresholds: dict, name: str, value, value_half, slack):
+    """Record the dt/2 rerun of a statistic and require it to move by at most
+    three times ``slack`` from the value at the full dt."""
+    statistics[name] = value_half
+    statistics["dt_stability_margin"] = abs(value_half - value) - 3.0 * slack
+    thresholds["dt_stability_margin"] = {"op": "<=", "value": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -184,31 +202,23 @@ def run_intertwining(
     eta_b = eta if eta_corner_side is None else eta_corner_side
     n_top = x.n
 
-    def make_samples(block_rng, count, dt_step, sub_eta_b):
+    def collect(sub_rng, total, dt_step):
         par_a = SdeParams(eta=eta, rescaled=False, dt_max=dt_step)
-        par_b = SdeParams(eta=sub_eta_b, rescaled=False, dt_max=dt_step)
-        top, fail_a = evolve_ensemble(
-            np.tile(x.values, (count, 1)), par_a, t, dt_step, block_rng.child(0)
-        )
-        a = corner_of_each(top, block_rng.child(1))
-        b0 = corner_samples(x, count, block_rng.child(2))
-        b, fail_b = evolve_ensemble(b0, par_b, t, dt_step, block_rng.child(3))
-        return a, b, fail_a, fail_b
+        par_b = SdeParams(eta=eta_b, rescaled=False, dt_max=dt_step)
 
-    def collect(sub_rng, total, dt_step, sub_eta_b):
-        out = _run_blocks(
-            total,
-            lambda r, s, c: make_samples(r, c, dt_step, sub_eta_b),
-            sub_rng,
-            threads,
-        )
-        a = np.concatenate([o[0] for o in out])
-        b = np.concatenate([o[1] for o in out])
-        fail_a = np.concatenate([o[2] for o in out])
-        fail_b = np.concatenate([o[3] for o in out])
+        def worker(block_rng, count):
+            top, fail_a = evolve_ensemble(
+                np.tile(x.values, (count, 1)), par_a, t, dt_step, block_rng.child(0)
+            )
+            a = corner_of_each(top, block_rng.child(1))
+            b0 = corner_samples(x, count, block_rng.child(2))
+            b, fail_b = evolve_ensemble(b0, par_b, t, dt_step, block_rng.child(3))
+            return a, b, fail_a, fail_b
+
+        a, b, fail_a, fail_b = _run_blocks(total, worker, sub_rng, threads)
         return a[~fail_a], b[~fail_b], int(fail_a.sum() + fail_b.sum())
 
-    a, b, discarded = collect(rng.child(1), n, dt, eta_b)
+    a, b, discarded = collect(rng.child(1), n, dt)
     stat, pvalue, null_sd = energy_permutation_test(a, b, n_perm, rng.child(2))
     ks = ks_per_coordinate(a[: min(len(a), len(b))], b[: min(len(a), len(b))])
 
@@ -221,11 +231,11 @@ def run_intertwining(
     }
     thresholds = {"energy_pvalue": {"op": ">", "value": ALPHA}}
     if dt_check:
-        a2, b2, _ = collect(rng.child(3), min(n, 5000), dt / 2.0, eta_b)
+        a2, b2, _ = collect(rng.child(3), min(n, 5000), dt / 2.0)
         stat2, _, null_sd2 = energy_permutation_test(a2, b2, n_perm, rng.child(4))
-        statistics["energy_statistic_dt_half"] = stat2
-        statistics["dt_stability_margin"] = abs(stat2 - stat) - 3.0 * (null_sd + null_sd2)
-        thresholds["dt_stability_margin"] = {"op": "<=", "value": 0.0}
+        _attach_dt_half(
+            statistics, thresholds, "energy_statistic_dt_half", stat, stat2, null_sd + null_sd2
+        )
     return ExperimentReport(
         name="intertwining",
         params={
@@ -267,29 +277,22 @@ def run_uniform_approx(
     for idx, cfg in enumerate(config_family):
         omega = embed(cfg)
 
-        def chain_worker(block_rng, start, count, c=cfg):
-            return g(chain_samples(c, K, count, block_rng))
+        def chain_worker(block_rng, count):
+            return g(chain_samples(cfg, K, count, block_rng))
 
-        def boundary_worker(block_rng, start, count, om=omega):
-            return g(boundary_corner_samples(om, K, count, block_rng))
+        def boundary_worker(block_rng, count):
+            return g(boundary_corner_samples(omega, K, count, block_rng))
 
-        ga = np.concatenate(_run_blocks(n, chain_worker, rng.child(2 * idx), threads))
-        gb = np.concatenate(_run_blocks(n, boundary_worker, rng.child(2 * idx + 1), threads))
+        ga = _run_blocks(n, chain_worker, rng.child(2 * idx), threads)
+        gb = _run_blocks(n, boundary_worker, rng.child(2 * idx + 1), threads)
         diffs.append(abs(float(ga.mean() - gb.mean())))
         ses.append(float(np.hypot(ga.std() / np.sqrt(n), gb.std() / np.sqrt(n))))
 
-    monotone_margin = max(
-        (
-            diffs[m + 1] - diffs[m] - 2.0 * (ses[m] + ses[m + 1])
-            for m in range(len(diffs) - 1)
-        ),
-        default=0.0,
-    )
     statistics = {
         **{f"abs_diff_N{sz}": d for sz, d in zip(sizes, diffs)},
         **{f"mc_se_N{sz}": s for sz, s in zip(sizes, ses)},
         "final_abs_diff": diffs[-1],
-        "monotone_margin": monotone_margin,
+        "monotone_margin": _monotone_margin(diffs, ses),
     }
     return ExperimentReport(
         name="uniform_approx",
@@ -333,51 +336,43 @@ def run_equilibrium(
     if not t_grid or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
         raise DomainError("t_grid must be nonempty, positive and increasing")
 
-    def evolve_worker(block_rng, start, count, dt_step):
-        params = SdeParams(eta=eta, rescaled=False, dt_max=dt_step)
-        if x0 is None:
-            state = inverse_laguerre_samples(N, eta, count, block_rng.child(999))
-        else:
-            state = np.tile(x0.values, (count, 1))
-        failed = np.zeros(count, bool)
-        snaps = []
-        t_prev = 0.0
-        for t_next in t_grid:
-            state, f = evolve_ensemble(state, params, t_next - t_prev, dt_step, block_rng)
-            failed |= f
-            snaps.append(state.copy())
-            t_prev = t_next
-        return snaps, failed
-
     def collect(sub_rng, total, dt_step):
-        out = _run_blocks(
-            total, lambda r, s, c: evolve_worker(r, s, c, dt_step), sub_rng, threads
-        )
-        failed = np.concatenate([o[1] for o in out])
-        snaps = [np.concatenate([o[0][k] for o in out]) for k in range(len(t_grid))]
-        return [s[~failed] for s in snaps], int(failed.sum())
+        """Surviving replicas' states at every grid time, shape (kept, T, N),
+        and the number discarded."""
+        params = SdeParams(eta=eta, rescaled=False, dt_max=dt_step)
 
-    snaps, discarded = collect(rng.child(1), n, dt)
+        def worker(block_rng, count):
+            if x0 is None:
+                state = inverse_laguerre_samples(N, eta, count, block_rng.child(999))
+            else:
+                state = np.tile(x0.values, (count, 1))
+            failed = np.zeros(count, bool)
+            path = np.empty((count, len(t_grid), state.shape[1]))
+            for k, span in enumerate(np.diff(t_grid, prepend=0.0)):
+                state, f = evolve_ensemble(state, params, span, dt_step, block_rng)
+                failed |= f
+                path[:, k] = state
+            return path, failed
+
+        paths, failed = _run_blocks(total, worker, sub_rng, threads)
+        return paths[~failed], int(failed.sum())
+
+    paths, discarded = collect(rng.child(1), n, dt)
     stats_t, ps_t, sds_t = [], [], []
-    for k, sample in enumerate(snaps):
+    for k in range(len(t_grid)):
         ref = inverse_laguerre_samples(N, eta, n, rng.child(100 + k))
-        stat, pvalue, null_sd = energy_permutation_test(sample, ref, n_perm, rng.child(200 + k))
+        stat, pvalue, null_sd = energy_permutation_test(
+            paths[:, k], ref, n_perm, rng.child(200 + k)
+        )
         stats_t.append(stat)
         ps_t.append(pvalue)
         sds_t.append(null_sd)
 
-    monotone_margin = max(
-        (
-            stats_t[k + 1] - stats_t[k] - 2.0 * (sds_t[k] + sds_t[k + 1])
-            for k in range(len(stats_t) - 1)
-        ),
-        default=0.0,
-    )
     statistics = {
         **{f"energy_statistic_t{t:g}": s for t, s in zip(t_grid, stats_t)},
         **{f"energy_pvalue_t{t:g}": p for t, p in zip(t_grid, ps_t)},
         "final_pvalue": ps_t[-1],
-        "monotone_margin": monotone_margin,
+        "monotone_margin": _monotone_margin(stats_t, sds_t),
         "discarded_replicas": float(discarded),
     }
     thresholds = {
@@ -385,17 +380,17 @@ def run_equilibrium(
         "monotone_margin": {"op": "<=", "value": 0.0},
     }
     if N == 1:
-        final = snaps[-1][:, 0]
+        final = paths[:, -1, 0]
         ks = kstest(final, invgamma(eta + 1.0).cdf)
         statistics["final_ks_exact_pvalue"] = float(ks.pvalue)
         thresholds["final_ks_exact_pvalue"] = {"op": ">", "value": ALPHA}
     if dt_check:
-        snaps2, _ = collect(rng.child(5), min(n, 5000), dt / 2.0)
+        paths2, _ = collect(rng.child(5), min(n, 5000), dt / 2.0)
         ref2 = inverse_laguerre_samples(N, eta, min(n, 5000), rng.child(6))
-        stat2, _, sd2 = energy_permutation_test(snaps2[-1], ref2, n_perm, rng.child(7))
-        statistics["energy_statistic_dt_half"] = stat2
-        statistics["dt_stability_margin"] = abs(stat2 - stats_t[-1]) - 3.0 * (sds_t[-1] + sd2)
-        thresholds["dt_stability_margin"] = {"op": "<=", "value": 0.0}
+        stat2, _, sd2 = energy_permutation_test(paths2[:, -1], ref2, n_perm, rng.child(7))
+        _attach_dt_half(
+            statistics, thresholds, "energy_statistic_dt_half", stats_t[-1], stat2, sds_t[-1] + sd2
+        )
     return ExperimentReport(
         name="equilibrium",
         params={
@@ -549,33 +544,36 @@ def run_collision_bound(
     """
     if not 0 < delta < 1:
         raise DomainError("need 0 < delta < 1")
+    if not (np.isfinite(eps) and eps > 0):
+        raise DomainError(f"need a finite eps > 0, got {eps}")
     if not x_family:
         raise DomainError("need at least one configuration in the family")
     big_c = max(lyapunov_f(cfg, 1) for cfg in x_family)
     bound = (big_c + t / eps) / abs(np.log(delta))
 
-    def worker(block_rng, start, count, cfg, dt_step):
+    def hit_rate(sub_rng, total, cfg, dt_step):
         params = SdeParams(eta=eta, rescaled=True, dt_max=dt_step)
-        x = np.tile(cfg.values, (count, 1))
-        live = np.arange(count)
-        hit = np.zeros(count, bool)
-        for step in _time_steps(t, dt_step):
-            if not live.size:
-                break
-            x, froze = evolve_ensemble(x, params, step, step, block_rng)
-            now = froze | (1.0 - x[:, 1] / x[:, 0] <= delta)
-            hit[live[now]] = True
-            keep = ~now & (x[:, 0] > eps)
-            live, x = live[keep], x[keep]
-        return hit
+
+        def worker(block_rng, count):
+            x = np.tile(cfg.values, (count, 1))
+            live = np.arange(count)
+            hit = np.zeros(count, bool)
+            for step in _time_steps(t, dt_step):
+                if not live.size:
+                    break
+                x, froze = evolve_ensemble(x, params, step, step, block_rng)
+                now = froze | (1.0 - x[:, 1] / x[:, 0] <= delta)
+                hit[live[now]] = True
+                keep = ~now & (x[:, 0] > eps)
+                live, x = live[keep], x[keep]
+            return hit
+
+        return float(_run_blocks(total, worker, sub_rng, threads).mean())
 
     stats, thresholds = {}, {}
     max_excess = -np.inf
     for ci, cfg in enumerate(x_family):
-        hits = np.concatenate(
-            _run_blocks(n, lambda r, s, c, cf=cfg: worker(r, s, c, cf, dt), rng.child(ci), threads)
-        )
-        est = float(hits.mean())
+        est = hit_rate(rng.child(ci), n, cfg, dt)
         se = float(np.sqrt(est * (1.0 - est) / n))
         stats[f"estimate_N{cfg.n}"] = est
         stats[f"mc_se_N{cfg.n}"] = se
@@ -587,19 +585,12 @@ def run_collision_bound(
     if dt_check:
         cfg = x_family[-1]
         n_half = max(n // 2, 200)
-        hits = np.concatenate(
-            _run_blocks(
-                n_half, lambda r, s, c: worker(r, s, c, cfg, dt / 2.0), rng.child(900), threads
-            )
-        )
-        est_half = float(hits.mean())
+        est_half = hit_rate(rng.child(900), n_half, cfg, dt / 2.0)
         est_ref = stats[f"estimate_N{cfg.n}"]
         se_comb = np.sqrt(
             est_half * (1 - est_half) / n_half + est_ref * (1 - est_ref) / n
         )
-        stats["estimate_dt_half"] = est_half
-        stats["dt_stability_margin"] = abs(est_half - est_ref) - 3.0 * float(se_comb)
-        thresholds["dt_stability_margin"] = {"op": "<=", "value": 0.0}
+        _attach_dt_half(stats, thresholds, "estimate_dt_half", est_ref, est_half, float(se_comb))
     return ExperimentReport(
         name="collision_bound",
         params={
@@ -639,12 +630,15 @@ def run_hard_edge_density(
     if N < 100:
         raise DomainError("hard-edge comparison needs N >= 100")
     bins = np.asarray(bins, dtype=float)
+    increasing = bins.ndim == 1 and bins.size >= 2 and np.all(np.diff(bins) > 0)
+    if not (increasing and np.all(np.isfinite(bins))):
+        raise DomainError(f"bins must be two or more finite increasing edges, got {bins.tolist()}")
 
-    def worker(block_rng, start, count):
+    def worker(block_rng, count):
         samples = inverse_laguerre_samples(N, eta, count, block_rng)
         return samples[:, :top] / N
 
-    tops = np.concatenate(_run_blocks(n, worker, rng.child(0), threads))
+    tops = _run_blocks(n, worker, rng.child(0), threads)
     counts, edges = np.histogram(tops.ravel(), bins=bins)
     widths = np.diff(edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
@@ -702,22 +696,21 @@ def run_matrix_eigen_agreement(
     def collect(sub_rng, total, dt_step):
         params = SdeParams(eta=eta, rescaled=False, dt_max=dt_step)
 
-        def matrix_worker(block_rng, start, count):
+        def matrix_worker(block_rng, count):
             h = np.tile(h0, (count, 1, 1))
             h = evolve_matrix_ensemble(h, params, t, dt_step, block_rng)
             w = np.linalg.eigvalsh(h)[:, ::-1]
             return np.clip(w, 0.0, None)
 
-        def eigen_worker(block_rng, start, count):
+        def eigen_worker(block_rng, count):
             # matched plain-Euler discretisation on both sides, so the
             # leading-order weak errors largely cancel in the comparison
             return evolve_ensemble(
                 np.tile(x0, (count, 1)), params, t, dt_step, block_rng, "eigen"
             )
 
-        a = np.concatenate(_run_blocks(total, matrix_worker, sub_rng.child(0), threads))
-        eigen = _run_blocks(total, eigen_worker, sub_rng.child(1), threads)
-        b, fail = (np.concatenate(parts) for parts in zip(*eigen))
+        a = _run_blocks(total, matrix_worker, sub_rng.child(0), threads)
+        b, fail = _run_blocks(total, eigen_worker, sub_rng.child(1), threads)
         return a, b[~fail], int(fail.sum())
 
     a, b, discarded = collect(rng.child(1), n, dt)
@@ -734,9 +727,7 @@ def run_matrix_eigen_agreement(
         stat, _, sd = energy_permutation_test(a, b, _MATRIX_N_PERM, rng.child(3))
         stat2, _, sd2 = energy_permutation_test(a2, b2, _MATRIX_N_PERM, rng.child(4))
         statistics["energy_statistic"] = stat
-        statistics["energy_statistic_dt_half"] = stat2
-        statistics["dt_stability_margin"] = abs(stat2 - stat) - 3.0 * (sd + sd2)
-        thresholds["dt_stability_margin"] = {"op": "<=", "value": 0.0}
+        _attach_dt_half(statistics, thresholds, "energy_statistic_dt_half", stat, stat2, sd + sd2)
     return ExperimentReport(
         name="matrix_eigen_agreement",
         params={

@@ -263,6 +263,8 @@ def chain_samples(config: OrderedConfig, K: int, n: int, rng) -> np.ndarray:
     """
     if not 1 <= K < config.n:
         raise DomainError(f"need 1 <= K < N, got K={K}, N={config.n}")
+    if n < 1:
+        raise DomainError(f"need n >= 1 draws, got {n}")
     return _compressed_spectrum(config.values, _haar_frame(rng, (n, config.n, K)))
 
 

@@ -28,8 +28,6 @@ from .errors import DomainError, EigensolveFailure, StepFailure
 
 __all__ = [
     "SmoothFunction",
-    "step_eigen_sde",
-    "step_log_sde",
     "simulate",
     "matrix_step_batch",
     "eigenvalues",
@@ -198,30 +196,8 @@ def evolve_ensemble(
 
 
 # ---------------------------------------------------------------------------
-# public single-path steppers
+# one recorded path
 # ---------------------------------------------------------------------------
-
-def _step_single(state: OrderedConfig, params: SdeParams, dt: float, rng, kind: str) -> OrderedConfig:
-    """One adaptive step of one path: a one-row call of the batched engine."""
-    state.require_interior()
-    if not 0 < dt <= params.dt_max:
-        raise DomainError(f"need 0 < dt <= dt_max={params.dt_max}")
-    depth = _halving_depth(dt, params)
-    new, failed = _advance_batch(state.values[None, :], dt, depth, rng, params, kind)
-    if failed is not None and failed[0]:
-        raise StepFailure(f"halving bottomed out at dt={dt / 2.0**depth:.3e}")
-    return OrderedConfig(new[0])
-
-
-def step_eigen_sde(state: OrderedConfig, params: SdeParams, dt: float, rng) -> OrderedConfig:
-    """One adaptive Euler-Maruyama step in the particle coordinates."""
-    return _step_single(state, params, dt, rng, "eigen")
-
-
-def step_log_sde(state: OrderedConfig, params: SdeParams, dt: float, rng) -> OrderedConfig:
-    """One adaptive Euler-Maruyama step in log coordinates (positivity built in)."""
-    return _step_single(state, params, dt, rng, "log")
-
 
 def simulate(
     initial: OrderedConfig,
@@ -231,7 +207,11 @@ def simulate(
     rng,
     integrator: str = "log",
 ) -> Trajectory:
-    """Integrate one path and record the state at the requested times."""
+    """Integrate one path and record the state at the requested times.
+
+    Each grid step is a one-row :func:`evolve_ensemble` call; a step whose
+    halving bottoms out raises :class:`StepFailure` at the step's start time.
+    """
     save = [float(t) for t in save_times]
     if any(t < 0 or t > horizon for t in save) or np.any(np.diff(save) <= 0):
         raise DomainError("save_times must be increasing within [0, horizon]")
@@ -239,19 +219,21 @@ def simulate(
         raise DomainError(f"unknown integrator {integrator!r}")
     times = [0.0]
     states = [initial]
-    current = initial
+    x, started = initial.values[None, :], False
     for target in save:
         if target <= 0.0:
             continue
         t = times[-1]
         for dt in _time_steps(target - t, params.dt_max):
-            try:
-                current = _step_single(current, params, dt, rng, integrator)
-            except StepFailure as exc:
-                raise StepFailure(f"step failed at t={t:.6g}", time=t) from exc
+            if not started:  # accepted steps stay interior, so only the start is checked
+                initial.require_interior()
+                started = True
+            x, failed = evolve_ensemble(x, params, dt, dt, rng, integrator)
+            if failed[0]:
+                raise StepFailure(f"step failed at t={t:.6g}", time=t)
             t += dt
         times.append(target)
-        states.append(current)
+        states.append(OrderedConfig(x[0]))
     return Trajectory(
         times=tuple(times),
         states=tuple(states),

@@ -2,11 +2,13 @@ import inspect
 import json
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hardedge import experiments
 from hardedge.cli import _EXPERIMENTS, main, read_trajectory_csv
 
 
@@ -113,6 +115,22 @@ class TestSamplers:
         vals = np.array([list(map(float, r.split(","))) for r in rows[1:]])
         assert np.all(np.diff(vals, axis=1) < 0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("sample-kernel", ["x=[5,4,3,2,1]", "K=2"]),
+            ("sample-equilibrium", ["N=3", "eta=1.0"]),
+        ],
+    )
+    def test_nonpositive_n_is_a_typed_error(self, tmp_path, capsys, command, settings, n):
+        argv = [command, "--seed", "3", "--set", f"n={n}"]
+        for item in settings:
+            argv += ["--set", item]
+        assert run_cli(tmp_path, *argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
 
 class TestKernelTable:
     def test_single_point(self, tmp_path):
@@ -218,6 +236,26 @@ class TestExperimentCommand:
         assert main([*args, "--threads", "8", "--out", str(b_dir)]) in (0, 2)
         assert (a_dir / "report.json").read_bytes() == (b_dir / "report.json").read_bytes()
 
+    def test_report_identical_on_the_thread_pool(self, tmp_path, monkeypatch):
+        # n = 5000 spans two replica blocks, so --threads 2 runs them on the pool
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+        args = [
+            "experiment", "uniform-approx", "--seed", "6", "--set", "sizes=[4]", "--set", "n=5000",
+        ]
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        assert main([*args, "--threads", "1", "--out", str(a_dir)]) in (0, 2)
+        assert pools == []
+        assert main([*args, "--threads", "2", "--out", str(b_dir)]) in (0, 2)
+        assert pools == [2, 2]
+        assert (a_dir / "report.json").read_bytes() == (b_dir / "report.json").read_bytes()
+
     @pytest.mark.parametrize(
         "name, settings",
         [
@@ -236,13 +274,17 @@ class TestExperimentCommand:
             ("coupling-l2", ["omega_xs=[1]", "N_list=[4,8]", "T=0.01", "dt=0"]),
             ("uniform-approx", ["sizes=[2]", "n=10", "bump=[0.5]"]),
             ("uniform-approx", ["sizes=[2]", "n=10", "bump=[0.5,0.5]"]),
+            ("collision-bound", ["sizes=[2]", "delta=0.05", "eps=0", "t=0.01", "n=10"]),
+            ("collision-bound", ["sizes=[2]", "delta=0.05", "eps=-0.1", "t=0.01", "n=10"]),
+            ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.3,0.2]"]),
         ],
         ids=[
             "equilibrium-n0", "equilibrium-empty-t_grid", "collision-n0", "collision-no-sizes",
             "uniform-no-sizes", "coupling-empty-N_list", "matrix-H0-not-NxN",
             "matrix-negative-t", "intertwining-negative-t", "collision-negative-t",
             "collision-dt0", "coupling-negative-T", "coupling-dt0", "uniform-bump-one-entry",
-            "uniform-bump-empty-interval",
+            "uniform-bump-empty-interval", "collision-eps0", "collision-negative-eps",
+            "hard-edge-decreasing-bins",
         ],
     )
     def test_malformed_inputs_are_typed_errors(self, tmp_path, capsys, name, settings):

@@ -144,6 +144,27 @@ class TestDtCheck:
         assert "energy_statistic_dt_half" in rep.statistics
         assert rep.verdicts["dt_stability_margin"], rep.summary()
 
+    @staticmethod
+    def check_attached(rep):
+        for key in ("energy_statistic_dt_half", "dt_stability_margin"):
+            assert np.isfinite(rep.statistics[key]), key
+        assert rep.thresholds["dt_stability_margin"] == {"op": "<=", "value": 0.0}
+        assert "dt_stability_margin" in rep.verdicts
+
+    def test_equilibrium_dt_half_attached(self):
+        rep = run_equilibrium(
+            2, 1.0, OrderedConfig([2.0, 1.0]), [0.05], 600, RandomSource(62),
+            dt=2e-3, n_perm=200, dt_check=True,
+        )
+        self.check_attached(rep)
+
+    def test_matrix_dt_half_attached(self):
+        rep = run_matrix_eigen_agreement(
+            3, 0.0, np.diag([3.0, 2.0, 1.0]), 0.02, 400, RandomSource(63),
+            dt=2e-3, dt_check=True,
+        )
+        self.check_attached(rep)
+
 
 class TestCollisionDtCheck:
     def test_dt_half_estimate_stable(self):
@@ -178,6 +199,21 @@ class TestCouplingL2:
         om = OmegaPlusPoint([1.0], gamma=1.0)
         with pytest.raises(DomainError):
             run_coupling_l2(om, [16, 8], 0.1, 1e-3, RandomSource(31))
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_collision_eps_must_be_finite_and_positive(self, eps):
+        fam = [OrderedConfig([2.0, 1.0])]
+        with pytest.raises(DomainError):
+            run_collision_bound(fam, 0.05, eps, 0.01, 10, RandomSource(34))
+
+    @pytest.mark.parametrize(
+        "bins", [[0.3], [[0.1, 0.2]], [0.1, np.nan], [0.1, np.inf], [0.2, 0.2]]
+    )
+    def test_hard_edge_bins_must_be_increasing_edges(self, bins):
+        with pytest.raises(DomainError):
+            run_hard_edge_density(100, 1.0, 10, bins, RandomSource(35))
 
 
 class TestCollisionBound:

@@ -17,8 +17,6 @@ from hardedge.sde import (
     log_drift,
     matrix_step_batch,
     simulate,
-    step_eigen_sde,
-    step_log_sde,
 )
 
 PLAIN = SdeParams(eta=0.0, rescaled=False)
@@ -118,6 +116,13 @@ class PoisonedNoise:
         return dw
 
 
+def one_step(x0, params, dt, rng, kind):
+    """One grid step of one path: a one-row evolve_ensemble call.
+    Returns (state, failed)."""
+    out, failed = evolve_ensemble(np.array([x0], dtype=float), params, dt, dt, rng, kind)
+    return out[0], failed[0]
+
+
 def sum_sq() -> SmoothFunction:
     return SmoothFunction(
         value=lambda x: float(np.sum(x**2)),
@@ -128,29 +133,30 @@ def sum_sq() -> SmoothFunction:
 
 class TestEigenStep:
     def test_drift_only_n1_plain(self):
-        out = step_eigen_sde(OrderedConfig([1.0]), WIDE, 0.1, ZeroNoise())
-        assert out.values[0] == pytest.approx(1.05)
+        out, _ = one_step([1.0], WIDE, 0.1, ZeroNoise(), "eigen")
+        assert out[0] == pytest.approx(1.05)
 
     def test_drift_only_n2_plain(self):
         dt = 1e-4
-        out = step_eigen_sde(OrderedConfig([2.0, 1.0]), PLAIN, dt, ZeroNoise())
-        np.testing.assert_allclose(out.values, [2.0 + 2.5 * dt, 1.0 - 1.5 * dt])
+        out, _ = one_step([2.0, 1.0], PLAIN, dt, ZeroNoise(), "eigen")
+        np.testing.assert_allclose(out, [2.0 + 2.5 * dt, 1.0 - 1.5 * dt])
 
     def test_n1_rescaled_equals_plain(self):
         p = SdeParams(eta=0.0, rescaled=True, dt_max=0.1)
-        out = step_eigen_sde(OrderedConfig([1.0]), p, 0.1, ZeroNoise())
-        assert out.values[0] == pytest.approx(1.05)
+        out, _ = one_step([1.0], p, 0.1, ZeroNoise(), "eigen")
+        assert out[0] == pytest.approx(1.05)
 
     def test_requires_interior(self):
         with pytest.raises(DomainError):
-            step_eigen_sde(OrderedConfig([1.0, 1.0]), PLAIN, 0.01, ZeroNoise())
+            simulate(OrderedConfig([1.0, 1.0]), PLAIN, 0.01, [0.01], ZeroNoise(), "eigen")
 
     def test_step_failure_on_impossible_state(self):
         # with dt_max = 1 the halving floor is 1e-12; across a 5e-13 gap the
         # interaction kick at that dt is ~2, so positivity always fails
-        cfg = OrderedConfig([1.0 + 5e-13, 1.0])
-        with pytest.raises(StepFailure):
-            step_eigen_sde(cfg, SdeParams(dt_max=1.0), 1.0, ZeroNoise())
+        x0 = [1.0 + 5e-13, 1.0]
+        out, failed = one_step(x0, SdeParams(dt_max=1.0), 1.0, ZeroNoise(), "eigen")
+        assert failed
+        np.testing.assert_array_equal(out, x0)
 
     def test_noise_increment_scales_linearly(self):
         # diffusion part of the Euler update is x * dw: exactly 1-homogeneous
@@ -159,12 +165,12 @@ class TestEigenStep:
         c = 3.7
         dt = 1e-5
         base = np.array([2.0, 1.0])
-        out1 = step_eigen_sde(OrderedConfig(base), SdeParams(eta=0.0), dt, rng1)
-        out2 = step_eigen_sde(OrderedConfig(c * base), SdeParams(eta=0.0), dt, rng2)
+        out1, _ = one_step(base, SdeParams(eta=0.0), dt, rng1, "eigen")
+        out2, _ = one_step(c * base, SdeParams(eta=0.0), dt, rng2, "eigen")
         drift1 = eigen_drift(base, SdeParams(eta=0.0))
         drift2 = eigen_drift(c * base, SdeParams(eta=0.0))
-        noise1 = out1.values - base - drift1 * dt
-        noise2 = out2.values - c * base - drift2 * dt
+        noise1 = out1 - base - drift1 * dt
+        noise2 = out2 - c * base - drift2 * dt
         np.testing.assert_allclose(noise2, c * noise1, rtol=1e-12)
         # eta part and interaction are 1-homogeneous; the constant is not
         np.testing.assert_allclose(
@@ -175,14 +181,14 @@ class TestEigenStep:
 class TestLogStep:
     def test_stationary_point_n1_rescaled(self):
         p = SdeParams(eta=0.0, rescaled=True, dt_max=0.01)
-        out = step_log_sde(OrderedConfig([1.0]), p, 0.01, ZeroNoise())
-        assert out.values[0] == pytest.approx(1.0)
+        out, _ = one_step([1.0], p, 0.01, ZeroNoise(), "log")
+        assert out[0] == pytest.approx(1.0)
 
     def test_drift_n1_rescaled_x2(self):
         p = SdeParams(eta=0.0, rescaled=True, dt_max=0.01)
         dt = 0.01
-        out = step_log_sde(OrderedConfig([2.0]), p, dt, ZeroNoise())
-        assert out.values[0] == pytest.approx(2.0 * np.exp((-0.5 + 0.25) * dt))
+        out, _ = one_step([2.0], p, dt, ZeroNoise(), "log")
+        assert out[0] == pytest.approx(2.0 * np.exp((-0.5 + 0.25) * dt))
 
     def test_ito_consistency_of_drifts(self):
         # exact algebraic identity: log drift = eigen drift / x - 1/2
@@ -200,15 +206,13 @@ class TestLogStep:
         # pathwise gap between the two integrators is O(dt) with a modest
         # constant; the Ito correction prevents anything better
         dt = 1e-4
-        cfg = OrderedConfig([2.0, 1.0])
-        a = step_eigen_sde(cfg, PLAIN, dt, RandomSource(5, 1))
-        b = step_log_sde(cfg, PLAIN, dt, RandomSource(5, 1))
-        assert np.max(np.abs(a.values - b.values)) < 10 * dt
+        a, _ = one_step([2.0, 1.0], PLAIN, dt, RandomSource(5, 1), "eigen")
+        b, _ = one_step([2.0, 1.0], PLAIN, dt, RandomSource(5, 1), "log")
+        assert np.max(np.abs(a - b)) < 10 * dt
 
     def test_positivity_automatic(self):
-        cfg = OrderedConfig([1e-6])
-        out = step_log_sde(cfg, SdeParams(eta=5.0), 1e-3, RandomSource(6))
-        assert out.values[0] > 0
+        out, failed = one_step([1e-6], SdeParams(eta=5.0), 1e-3, RandomSource(6), "log")
+        assert out[0] > 0 and not failed
 
 
 class TestSimulate:
