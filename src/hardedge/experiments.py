@@ -633,6 +633,8 @@ def run_hard_edge_density(
     increasing = bins.ndim == 1 and bins.size >= 2 and np.all(np.diff(bins) > 0)
     if not (increasing and np.all(np.isfinite(bins))):
         raise DomainError(f"bins must be two or more finite increasing edges, got {bins.tolist()}")
+    if not 1 <= top <= N:
+        raise DomainError(f"top must be in 1..N={N}, got {top}")
 
     def worker(block_rng, count):
         samples = inverse_laguerre_samples(N, eta, count, block_rng)
@@ -697,10 +699,10 @@ def run_matrix_eigen_agreement(
         params = SdeParams(eta=eta, rescaled=False, dt_max=dt_step)
 
         def matrix_worker(block_rng, count):
-            h = np.tile(h0, (count, 1, 1))
-            h = evolve_matrix_ensemble(h, params, t, dt_step, block_rng)
+            h0s = np.tile(h0, (count, 1, 1))
+            h, repairs = evolve_matrix_ensemble(h0s, params, t, dt_step, block_rng)
             w = np.linalg.eigvalsh(h)[:, ::-1]
-            return np.clip(w, 0.0, None)
+            return np.clip(w, 0.0, None), repairs
 
         def eigen_worker(block_rng, count):
             # matched plain-Euler discretisation on both sides, so the
@@ -709,21 +711,22 @@ def run_matrix_eigen_agreement(
                 np.tile(x0, (count, 1)), params, t, dt_step, block_rng, "eigen"
             )
 
-        a = _run_blocks(total, matrix_worker, sub_rng.child(0), threads)
+        a, repairs = _run_blocks(total, matrix_worker, sub_rng.child(0), threads)
         b, fail = _run_blocks(total, eigen_worker, sub_rng.child(1), threads)
-        return a, b[~fail], int(fail.sum())
+        return a, b[~fail], int(fail.sum()), int(repairs.sum())
 
-    a, b, discarded = collect(rng.child(1), n, dt)
+    a, b, discarded, repairs = collect(rng.child(1), n, dt)
     ks = ks_per_coordinate(a, b)
     bonferroni = ALPHA / N
     statistics = {
         **{f"ks_pvalue_coord{k + 1}": float(p) for k, p in enumerate(ks)},
         "min_ks_pvalue": float(ks.min()),
         "discarded_replicas": float(discarded),
+        "psd_repairs": float(repairs),
     }
     thresholds = {"min_ks_pvalue": {"op": ">", "value": bonferroni}}
     if dt_check:
-        a2, b2, _ = collect(rng.child(2), min(n, 5000), dt / 2.0)
+        a2, b2, _, _ = collect(rng.child(2), min(n, 5000), dt / 2.0)
         stat, _, sd = energy_permutation_test(a, b, _MATRIX_N_PERM, rng.child(3))
         stat2, _, sd2 = energy_permutation_test(a2, b2, _MATRIX_N_PERM, rng.child(4))
         statistics["energy_statistic"] = stat

@@ -45,9 +45,9 @@ class RandomSource:
 
     def complex_normal(self, size=()):
         """Standard complex Gaussians: Re and Im are independent N(0, 1/2)."""
-        shape = tuple(size) + (2,)
-        g = self._gen.standard_normal(shape)
-        return (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
+        g = self._gen.standard_normal(tuple(size) + (2,))
+        g *= 1.0 / np.sqrt(2.0)
+        return g.view(complex)[..., 0]
 
     def gamma(self, shape, scale=1.0, size=None):
         return self._gen.gamma(shape, scale, size)

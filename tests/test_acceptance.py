@@ -7,9 +7,9 @@ with the equilibrium ensemble it is compared against, as the companion
 diagnostic test demonstrates; all other criteria pass.
 
 Measured wall-clock of the whole Tier-1 run (unit and acceptance suites) on
-a 2-core VM: 335-349 s over three runs.  The matrix agreement (C08, 165-170
-s), equilibrium (C10 41-42 s, C09 39-44 s), collision (C11, 25-32 s) and
-intertwining (C07, 13-14 s) ensembles take most of it; every other
+a 2-core VM: 204-211 s over three runs.  The matrix agreement (C08, 49-55
+s), equilibrium (C10 33-38 s, C09 34-37 s), collision (C11, 26-29 s) and
+intertwining (C07, 10-12 s) ensembles take most of it; every other
 criterion takes under 5 s.
 """
 

@@ -277,6 +277,9 @@ class TestExperimentCommand:
             ("collision-bound", ["sizes=[2]", "delta=0.05", "eps=0", "t=0.01", "n=10"]),
             ("collision-bound", ["sizes=[2]", "delta=0.05", "eps=-0.1", "t=0.01", "n=10"]),
             ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.3,0.2]"]),
+            ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=-1"]),
+            ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=0"]),
+            ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=101"]),
         ],
         ids=[
             "equilibrium-n0", "equilibrium-empty-t_grid", "collision-n0", "collision-no-sizes",
@@ -284,7 +287,8 @@ class TestExperimentCommand:
             "matrix-negative-t", "intertwining-negative-t", "collision-negative-t",
             "collision-dt0", "coupling-negative-T", "coupling-dt0", "uniform-bump-one-entry",
             "uniform-bump-empty-interval", "collision-eps0", "collision-negative-eps",
-            "hard-edge-decreasing-bins",
+            "hard-edge-decreasing-bins", "hard-edge-negative-top", "hard-edge-top0",
+            "hard-edge-top-above-N",
         ],
     )
     def test_malformed_inputs_are_typed_errors(self, tmp_path, capsys, name, settings):

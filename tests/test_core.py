@@ -252,3 +252,10 @@ class TestRandomSource:
     def test_complex_normal_unit_variance(self):
         z = RandomSource(1).complex_normal((20000,))
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (256, 3, 3), (4096, 3, 3)])
+    def test_complex_normal_matches_the_pairwise_formula(self, shape):
+        z = RandomSource(31, 2).complex_normal(shape)
+        g = RandomSource(31, 2).standard_normal(shape + (2,))
+        assert z.shape == shape and z.dtype == complex
+        np.testing.assert_array_equal(z, (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0))

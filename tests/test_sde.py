@@ -8,6 +8,9 @@ from hardedge.errors import DomainError, StepFailure
 from hardedge.rng import RandomSource, ZeroNoise
 from hardedge.sde import (
     SmoothFunction,
+    _certified_pd,
+    _matrix_euler,
+    _project_psd_batch,
     eigen_drift,
     eigenvalues,
     evolve_1d_ensemble,
@@ -416,6 +419,48 @@ class TestEngineAgainstReference:
         np.testing.assert_array_equal(failed, [True, False, True])
 
 
+# lambda_min / lambda_max of the stacks the PSD screen is checked on
+PSD_RATIOS = (0.0, 1e-18, -1e-18, 1e-12, -1e-12, 1e-9, 1e-3)
+
+
+def project_by_eigvalsh(mats):
+    """The PSD repair with every row screened by eigvalsh: the projected
+    stack and the mask of repaired rows."""
+    bad = np.linalg.eigvalsh(mats)[:, 0] < 0.0
+    out = mats.copy()
+    if bad.any():
+        w, v = np.linalg.eigh(mats[bad])
+        out[bad] = np.einsum("nij,nj,nkj->nik", v, np.clip(w, 0.0, None), np.conjugate(v))
+    return out, bad
+
+
+def hermitian_stack(n, ratios, rng):
+    """Hermitian n x n matrices, four per ratio, with spectrum in [ratio, 1]
+    times a scale from 1e-6 to 1e6 (ratio = lambda_min / lambda_max), rotated by
+    a random unitary; then random positive semidefinite and indefinite rows."""
+    rows = []
+    for ratio in ratios:
+        for scale in (1e-6, 1.0, 1e3, 1e6):
+            lam = np.concatenate([[1.0], rng.uniform(ratio, 1.0, max(n - 2, 0)), [ratio]])[-n:]
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            rows.append(scale * (q * lam) @ q.conj().T)
+    for _ in range(20):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rows.append(a @ a.conj().T / n)
+        rows.append((a + a.conj().T) / 2)
+    h = np.array(rows)
+    return (h + np.conjugate(np.swapaxes(h, -1, -2))) / 2
+
+
+def two_matmul_step(h, params, dt, rng):
+    """The matrix Euler step written out with both matmuls, unprojected."""
+    n = h.shape[-1]
+    dg = rng.complex_normal(h.shape) * np.sqrt(2.0 * dt)
+    tr = np.trace(h, axis1=-2, axis2=-1).real
+    drift = -(params.eta + n) / 2.0 * h + 0.5 * (1.0 + tr)[:, None, None] * np.eye(n)
+    return h + 0.5 * (dg @ h + h @ np.conjugate(np.swapaxes(dg, -1, -2))) + drift * dt
+
+
 class TestMatrixStep:
     def test_scalar_drift_reduction(self):
         out = matrix_step_batch(np.ones((1, 1, 1), complex), PLAIN, 0.1, ZeroNoise())
@@ -436,6 +481,62 @@ class TestMatrixStep:
         tr1 = np.trace(out[0]).real
         want = tr0 + (-(eta + 4) / 2 * tr0 + 4 / 2 * (1 + tr0)) * dt
         assert tr1 == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_matmul_agrees_with_two(self, n):
+        params = SdeParams(eta=0.7)
+        h = hermitian_stack(n, (1e-3,), np.random.default_rng(n))[:8]
+        got = _matrix_euler(h, params, 1e-3, RandomSource(12, n))
+        want = two_matmul_step(h, params, 1e-3, RandomSource(12, n))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(h).max())
+
+    def test_exactly_hermitian_without_repairs(self):
+        h0 = np.tile(np.diag([3.0, 2.0, 1.0]).astype(complex), (64, 1, 1))
+        h, repairs = evolve_matrix_ensemble(h0, PLAIN, 0.05, 1e-3, RandomSource(14))
+        assert repairs.shape == (64,) and not repairs.any()
+        np.testing.assert_array_equal(h, np.conjugate(np.swapaxes(h, -1, -2)))
+        one = matrix_step_batch(h, PLAIN, 1e-3, RandomSource(15))
+        np.testing.assert_array_equal(one, np.conjugate(np.swapaxes(one, -1, -2)))
+
+    def test_repairs_are_counted_per_row(self):
+        h0 = np.array([np.diag([10.0, 0.0]), np.diag([2.0, 1.0])], dtype=complex)
+        h, repairs = evolve_matrix_ensemble(h0, PLAIN, 0.05, 1e-3, RandomSource(10))
+        # replay the same steps and count the repairs of each row by hand
+        state, want, rng = h0, np.zeros(2, dtype=int), RandomSource(10)
+        for _ in range(50):
+            state = _matrix_euler(state, PLAIN, 1e-3, rng)
+            state, bad = project_by_eigvalsh(state)
+            want += bad
+        assert repairs[0] > 0 and repairs[1] == 0
+        np.testing.assert_array_equal(repairs, want)
+        np.testing.assert_array_equal(h, state)
+
+    @pytest.mark.parametrize("upper", ["hermitian", "noise"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_psd_screen_matches_eigvalsh(self, n, upper):
+        rng = np.random.default_rng(n)
+        h = hermitian_stack(n, PSD_RATIOS, rng)
+        if upper == "noise":  # eigvalsh reads the lower triangle only; so must the screen
+            h = np.tril(h) + np.triu(rng.normal(size=h.shape), 1)
+        out, repaired = _project_psd_batch(h)
+        want, want_repaired = project_by_eigvalsh(h)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(repaired, want_repaired)
+        # both paths run: some rows are certified and some are repaired
+        cert = _certified_pd(h)
+        assert cert.any() and repaired.any()
+        assert np.linalg.eigvalsh(h[cert])[:, 0].min() > 0.0
+
+    def test_psd_certificate_needs_a_margin(self):
+        # prod(d) / tr^3 is 1e-9 / 8 < 1e-8 here, and 1e-6 / 8 > 1e-8 below
+        h = np.diag([1.0, 1.0, 1e-9]).astype(complex)[None]
+        assert not _certified_pd(h)[0]
+        assert _certified_pd(np.diag([1.0, 1.0, 1e-6]).astype(complex)[None])[0]
+
+    def test_psd_screen_returns_a_clean_stack_as_is(self):
+        h = hermitian_stack(3, (1e-3,), np.random.default_rng(0))[:4]
+        out, repaired = _project_psd_batch(h)
+        assert out is h and not repaired.any()
 
     def test_projection_keeps_psd(self):
         state = np.diag([1e-8, 0.0]).astype(complex)[None]
