@@ -12,7 +12,6 @@ scalar term.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import comb
 
@@ -78,6 +77,19 @@ def _check_multiplicity(sorted_knots: np.ndarray):
         raise DegenerateKnots(
             f"knot multiplicity {counts.max()} exceeds N-2={n - 2}"
         )
+
+
+def _spline_args(y, knots) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The common front of the spline evaluators: the knots sorted ascending
+    (rejected when they all coincide or a multiplicity exceeds N-2), y as a
+    1-d float array, and whether y was a scalar."""
+    x = _as_knots(knots)
+    if x[0] == x[-1]:
+        raise DegenerateKnots("all knots coincide")
+    nodes = np.sort(x)
+    _check_multiplicity(nodes)
+    scalar = np.isscalar(y) or np.ndim(y) == 0
+    return nodes, np.atleast_1d(np.asarray(y, dtype=float)), scalar
 
 
 def _divdiff_truncated_power(nodes_asc: np.ndarray, y, power: int):
@@ -147,14 +159,8 @@ def spline_m(y, knots) -> float | np.ndarray:
     Newton tableau both cancel catastrophically for clustered knots).
     Nonnegative, supported on [min knot, max knot], integrates to one.
     """
-    x = _as_knots(knots)
-    n = x.size
-    if x[0] == x[-1]:
-        raise DegenerateKnots("all knots coincide")
-    nodes = np.sort(x)
-    _check_multiplicity(nodes)
-    scalar = np.isscalar(y) or np.ndim(y) == 0
-    yarr = np.atleast_1d(np.asarray(y, dtype=float))
+    nodes, yarr, scalar = _spline_args(y, knots)
+    n = nodes.size
     out = np.zeros_like(yarr)
     inside = (yarr >= nodes[0]) & (yarr <= nodes[-1])
     if np.any(inside):
@@ -169,14 +175,8 @@ def spline_m_tableau(y, knots) -> float | np.ndarray:
     Divided differences of the truncated power over the knot multiset;
     exact at ties but loses absolute accuracy ~1e-8 on clustered knots.
     """
-    x = _as_knots(knots)
-    n = x.size
-    if x[0] == x[-1]:
-        raise DegenerateKnots("all knots coincide")
-    nodes = np.sort(x)
-    _check_multiplicity(nodes)
-    scalar = np.isscalar(y) or np.ndim(y) == 0
-    yarr = np.atleast_1d(np.asarray(y, dtype=float))
+    nodes, yarr, scalar = _spline_args(y, knots)
+    n = nodes.size
     out = np.zeros_like(yarr)
     inside = (yarr >= nodes[0]) & (yarr <= nodes[-1])
     if np.any(inside):
@@ -190,14 +190,8 @@ def spline_m_tail_mass(y, knots) -> float | np.ndarray:
     Divided difference of (t-y)_+^(N-1); the complementary CDF used by the
     goodness-of-fit checks.
     """
-    x = _as_knots(knots)
-    n = x.size
-    if x[0] == x[-1]:
-        raise DegenerateKnots("all knots coincide")
-    nodes = np.sort(x)
-    _check_multiplicity(nodes)
-    scalar = np.isscalar(y) or np.ndim(y) == 0
-    yarr = np.atleast_1d(np.asarray(y, dtype=float))
+    nodes, yarr, scalar = _spline_args(y, knots)
+    n = nodes.size
     out = np.clip(_divdiff_truncated_power(nodes, yarr, n - 1), 0.0, 1.0)
     return float(out[0]) if scalar else out
 
@@ -301,13 +295,14 @@ def _vandermonde(y: np.ndarray) -> float:
     return float(np.prod(diff[np.triu_indices(y.size, 1)]))
 
 
-def lambda_kn_density(y, x, K: int, mc_fallback_n: int = 200_000, rng=None) -> float:
+def lambda_kn_density(y, x, K: int) -> float:
     """Density of the N-to-K chain kernel at the ordered point y.
 
     Uses the binomial-prefactor determinant of shifted splines divided by
     the wide-gap coordinate differences, times the Vandermonde of y.  Only
-    stable for N <= 30, K <= 6; larger requests fall back to Monte Carlo
-    histogramming (with a warning) when an rng is supplied.
+    stable for N <= 30, K <= 6; larger requests raise
+    :class:`NumericalInstability` (``chain_samples`` draws from the kernel
+    at any size).
     """
     xv = x.values if isinstance(x, OrderedConfig) else np.asarray(x, dtype=float)
     yv = y.values if isinstance(y, OrderedConfig) else np.asarray(y, dtype=float)
@@ -317,18 +312,10 @@ def lambda_kn_density(y, x, K: int, mc_fallback_n: int = 200_000, rng=None) -> f
     if np.any(np.diff(xv) >= 0):
         raise DomainError("density evaluation needs strictly decreasing x")
     if n > DENSITY_MAX_N or K > DENSITY_MAX_K:
-        if rng is None:
-            raise NumericalInstability(
-                f"N={n}, K={K} outside the stability envelope "
-                f"(N<={DENSITY_MAX_N}, K<={DENSITY_MAX_K}); pass an rng for MC fallback"
-            )
-        warnings.warn(
-            "density request outside the determinant stability envelope; "
-            "falling back to Monte Carlo histogramming",
-            RuntimeWarning,
-            stacklevel=2,
+        raise NumericalInstability(
+            f"N={n}, K={K} outside the stability envelope "
+            f"(N<={DENSITY_MAX_N}, K<={DENSITY_MAX_K})"
         )
-        return _density_mc(yv, OrderedConfig(xv), K, mc_fallback_n, rng)
 
     if K == 1:
         return float(spline_m(yv[0], xv))
@@ -400,14 +387,6 @@ def lambda_k2_cell_masses(x, breaks, order: int = 8):
                         acc += ws * wt * s * dens(y1, y2)
                 masses[b, a] = acc * h1 * h1
     return masses, breaks
-
-
-def _density_mc(yv, config, K, n_samples, rng):
-    samples = chain_samples(config, K, n_samples, rng)
-    widths = 3.5 * samples.std(axis=0) * n_samples ** (-1.0 / (K + 4)) + 1e-30
-    inside = np.all(np.abs(samples - yv[None, :]) <= widths[None, :] / 2, axis=1)
-    volume = float(np.prod(widths))
-    return float(inside.mean() / volume)
 
 
 # ---------------------------------------------------------------------------

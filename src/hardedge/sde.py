@@ -6,12 +6,14 @@ The N-particle equation is
 
 with c = 1/2 (plain normalisation) or 1/(2N) (hard-edge rescaling).  Steps
 are explicit Euler-Maruyama with adaptive halving: a proposal that crosses
-an ordering gap or the positivity boundary is rejected, the interval is
-halved and re-integrated with fresh variates (the law, not the path, is
-preserved).  The log-coordinate integrator removes the positivity failure
-mode and is the default near the hard edge.  A matrix-valued integrator, a
-1d integrator and the action of the infinitesimal generator complete the
-set of finite-N diagnostics.
+an ordering gap or the positivity boundary is rejected, and the interval is
+re-integrated as two halves whose increments split the rejected one at a
+Brownian-bridge midpoint (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997), so
+the Brownian path is preserved and paths driven by shared increments stay
+coupled.  The log-coordinate integrator removes the positivity failure mode
+and is the default near the hard edge.  A matrix-valued integrator and the
+action of the infinitesimal generator complete the set of finite-N
+diagnostics.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from .errors import DomainError, EigensolveFailure, StepFailure
 __all__ = [
     "SmoothFunction",
     "simulate",
-    "matrix_step_batch",
     "eigenvalues",
     "generator_apply",
     "evolve_ensemble",
     "evolve_matrix_ensemble",
-    "evolve_1d_ensemble",
     "eigen_drift",
     "log_drift",
 ]
@@ -119,10 +119,18 @@ def _accept(kind: str, new: np.ndarray, old: np.ndarray, params: SdeParams) -> n
     return good
 
 
-def _advance_batch(x, dt, depth, rng, params, kind):
-    """Advance all rows by dt.  Returns (new_x, failed_mask), the mask None
-    when every row was accepted at the first proposal."""
-    prop = _propose(kind, x, dt, rng.standard_normal(x.shape) * math.sqrt(dt), params)
+def _advance_batch(x, dt, dw, depth, rng, params, kind):
+    """Advance all rows by dt on their Brownian increments dw.  Returns
+    (new_x, failed_mask), the mask None when every row was accepted at the
+    first proposal.
+
+    A rejected row is re-integrated as two dt/2 halves: the first takes the
+    bridge midpoint dw/2 + sqrt(dt/4) Z (one draw over the rejected rows),
+    the second the rest of dw, so a halved row still moves by its own
+    increment.  A row still rejected after ``depth`` halvings keeps its state
+    and is flagged failed.
+    """
+    prop = _propose(kind, x, dt, dw, params)
     good = _accept(kind, prop, x, params)
     if good.all():
         return prop, None
@@ -132,11 +140,16 @@ def _advance_batch(x, dt, depth, rng, params, kind):
         prop[bad] = x[bad]
         failed[bad] = True
         return prop, failed
-    sub, f1 = _advance_batch(x[bad], dt / 2.0, depth - 1, rng, params, kind)
+    rejected = dw[bad]
+    first = rejected / 2.0 + rng.standard_normal(rejected.shape) * math.sqrt(dt / 4.0)
+    second = rejected - first
+    sub, f1 = _advance_batch(x[bad], dt / 2.0, first, depth - 1, rng, params, kind)
     f1 = np.zeros(bad.size, dtype=bool) if f1 is None else f1
     alive = np.nonzero(~f1)[0]
     if alive.size:
-        sub[alive], f2 = _advance_batch(sub[alive], dt / 2.0, depth - 1, rng, params, kind)
+        sub[alive], f2 = _advance_batch(
+            sub[alive], dt / 2.0, second[alive], depth - 1, rng, params, kind
+        )
         if f2 is not None:
             f1[alive[f2]] = True
     prop[bad] = sub
@@ -169,8 +182,10 @@ def evolve_ensemble(
 ):
     """Evolve an (n, N) ensemble to the horizon on a dt grid.
 
-    Replicas whose halving bottoms out are frozen and flagged; the returned
-    mask marks them.  Frozen replicas draw no further noise.  Noise
+    Each grid step draws one Brownian increment per live replica, which a
+    rejected replica splits by ``_advance_batch``'s bridge rule.  Replicas
+    whose halving bottoms out are frozen and flagged; the returned mask
+    marks them.  Frozen replicas draw no further noise.  Noise
     consumption is a deterministic function of the rng stream, so identical
     sources give identical ensembles.
     """
@@ -185,11 +200,13 @@ def evolve_ensemble(
     for step in steps:
         if failed.any():
             live = np.nonzero(~failed)[0]
-            x[live], fail_now = _advance_batch(x[live], step, depths[step], rng, params, integrator)
+            dw = rng.standard_normal((live.size, x.shape[1])) * math.sqrt(step)
+            x[live], fail_now = _advance_batch(x[live], step, dw, depths[step], rng, params, integrator)
             if fail_now is not None:
                 failed[live[fail_now]] = True
         else:
-            x, fail_now = _advance_batch(x, step, depths[step], rng, params, integrator)
+            dw = rng.standard_normal(x.shape) * math.sqrt(step)
+            x, fail_now = _advance_batch(x, step, dw, depths[step], rng, params, integrator)
             if fail_now is not None:
                 failed = fail_now
     return x, failed
@@ -328,12 +345,6 @@ def _matrix_euler(h: np.ndarray, params: SdeParams, dt: float, rng) -> np.ndarra
     return new
 
 
-def matrix_step_batch(h: np.ndarray, params: SdeParams, dt: float, rng) -> np.ndarray:
-    """Euler step of the Hermitian matrix SDE for an (n, N, N) stack, with
-    rows that leave the PSD cone projected back (``_project_psd_batch``)."""
-    return _project_psd_batch(_matrix_euler(h, params, dt, rng))[0]
-
-
 def evolve_matrix_ensemble(h0: np.ndarray, params: SdeParams, horizon: float, dt: float, rng):
     """Evolve a stacked batch of Hermitian states to the horizon.
 
@@ -357,21 +368,6 @@ def eigenvalues(H: np.ndarray) -> OrderedConfig:
     w = w[::-1]
     w[(w < 0.0) & (w > -1e-10)] = 0.0
     return OrderedConfig(w)
-
-
-# ---------------------------------------------------------------------------
-# one-dimensional diffusion
-# ---------------------------------------------------------------------------
-
-def evolve_1d_ensemble(x0: np.ndarray, N: int, eta: float, horizon: float, dt: float, rng):
-    """Batched Euler evolution of the 1d diffusion
-    dz = z dw + [(1 - eta/2 - N) z + 1/2] dt, reflected at zero."""
-    x = np.array(x0, dtype=float)
-    for step in _time_steps(horizon, dt):
-        dw = rng.standard_normal(x.shape) * np.sqrt(step)
-        x = x + x * dw + ((1.0 - eta / 2.0 - N) * x + 0.5) * step
-        np.clip(x, 0.0, None, out=x)
-    return x
 
 
 # ---------------------------------------------------------------------------

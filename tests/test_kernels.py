@@ -303,17 +303,11 @@ class TestDensity:
         assert mass == pytest.approx(1.0, abs=1e-5)
 
     def test_envelope_enforced(self):
-        x = OrderedConfig(np.arange(40, 0, -1.0))
-        with pytest.raises(NumericalInstability):
-            lambda_kn_density(np.linspace(20.0, 10.0, 7), x, 7)
-
-    def test_mc_fallback_with_warning(self):
-        x = OrderedConfig(np.arange(31, 0, -1.0))
-        with pytest.warns(RuntimeWarning):
-            val = lambda_kn_density(
-                np.array([15.0]), x, 1, mc_fallback_n=4000, rng=RandomSource(42)
-            )
-        assert val == pytest.approx(spline_m(15.0, x.values), rel=0.4)
+        cases = [(40, np.linspace(20.0, 10.0, 7), 7), (31, np.array([15.0]), 1)]
+        for n, y, k in cases:
+            x = OrderedConfig(np.arange(n, 0, -1.0))
+            with pytest.raises(NumericalInstability):
+                lambda_kn_density(y, x, k)
 
 
 class TestBoundaryCorner:

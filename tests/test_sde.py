@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardedge import sde
 from hardedge.core import OrderedConfig, SdeParams
 from hardedge.errors import DomainError, StepFailure
 from hardedge.rng import RandomSource, ZeroNoise
@@ -13,12 +14,10 @@ from hardedge.sde import (
     _project_psd_batch,
     eigen_drift,
     eigenvalues,
-    evolve_1d_ensemble,
     evolve_ensemble,
     evolve_matrix_ensemble,
     generator_apply,
     log_drift,
-    matrix_step_batch,
     simulate,
 )
 
@@ -46,14 +45,14 @@ def drift_by_loops(x: np.ndarray, params: SdeParams, kind: str) -> np.ndarray:
 
 
 def reference_evolve(x0, params, steps, dt, rng, kind):
-    """The batched Euler engine written plainly: draw for every row not yet
-    frozen, propose, accept, re-integrate the rejected rows as two dt/2 halves
-    (the second only for rows that survived the first), freeze them at depth
-    0; frozen rows keep their state and draw nothing.  Returns (x, failed,
-    rejections)."""
+    """The batched Euler engine written plainly: draw the grid increments for
+    every row not yet frozen, propose, accept, re-integrate the rejected rows
+    as two dt/2 halves whose increments split theirs at a Brownian-bridge
+    midpoint (the second half only for rows that survived the first), freeze
+    them at depth 0; frozen rows keep their state and draw nothing.  Returns
+    (x, failed, rejections)."""
 
-    def advance(x, h, depth):
-        dw = rng.standard_normal(x.shape) * np.sqrt(h)
+    def advance(x, h, dw, depth):
         if kind == "eigen":
             prop = x + x * dw + eigen_drift(x, params) * h
         else:
@@ -69,11 +68,13 @@ def reference_evolve(x0, params, steps, dt, rng, kind):
         if bad.size and depth == 0:
             failed[bad] = True
         elif bad.size:
-            mid, f1, r1 = advance(x[bad], h / 2.0, depth - 1)
+            first = dw[bad] / 2.0 + rng.standard_normal((bad.size, x.shape[1])) * np.sqrt(h / 4.0)
+            second = dw[bad] - first
+            mid, f1, r1 = advance(x[bad], h / 2.0, first, depth - 1)
             rejections += r1
             alive = np.nonzero(~f1)[0]
             if alive.size:
-                end, f2, r2 = advance(mid[alive], h / 2.0, depth - 1)
+                end, f2, r2 = advance(mid[alive], h / 2.0, second[alive], depth - 1)
                 mid[alive] = end
                 f1[alive[f2]] = True
                 rejections += r2
@@ -87,7 +88,8 @@ def reference_evolve(x0, params, steps, dt, rng, kind):
     depth = math.ceil(math.log2(dt / (1e-12 * params.dt_max)))
     for _ in range(steps):
         live = np.nonzero(~failed)[0]
-        x[live], failed[live], r = advance(x[live], dt, depth)
+        dw = rng.standard_normal((live.size, x.shape[1])) * np.sqrt(dt)
+        x[live], failed[live], r = advance(x[live], dt, dw, depth)
         rejections += r
     return x, failed, rejections
 
@@ -104,19 +106,19 @@ class CountingNoise:
         return self.source.standard_normal(size)
 
 
-class PoisonedNoise:
-    """Zero noise, except NaN in the rows that ``poison(call, shape)`` selects;
-    a NaN increment makes a proposal non-finite, so it is rejected."""
+class ScriptedNoise:
+    """Zero noise, into which ``script(call, draw)`` writes the values of each
+    call's standard normals in place."""
 
-    def __init__(self, poison):
-        self.poison = poison
+    def __init__(self, script):
+        self.script = script
         self.calls = 0
 
     def standard_normal(self, size):
-        dw = np.zeros(size)
-        dw[self.poison(self.calls, size)] = np.nan
+        draw = np.zeros(size)
+        self.script(self.calls, draw)
         self.calls += 1
-        return dw
+        return draw
 
 
 def one_step(x0, params, dt, rng, kind):
@@ -354,8 +356,6 @@ class TestEnsemble:
             evolve_ensemble(np.array([[2.0, 1.0]]), PLAIN, horizon, dt, RandomSource(8))
         with pytest.raises(DomainError):
             evolve_matrix_ensemble(np.diag([2.0, 1.0])[None], PLAIN, horizon, dt, RandomSource(8))
-        with pytest.raises(DomainError):
-            evolve_1d_ensemble(np.ones(3), 2, 0.0, horizon, dt, RandomSource(8))
 
 
 class TestEngineAgainstReference:
@@ -387,36 +387,66 @@ class TestEngineAgainstReference:
         np.testing.assert_array_equal(failed, [True, False, False, False])
 
     def test_row_failing_in_its_second_half_stays_frozen(self):
-        # row 0 is rejected at dt, accepted over the first dt/2 and rejected
-        # on every try at the second; after that every proposal is accepted
-        depth = 40  # halvings from dt = dt_max down to 1e-12 dt_max
-
-        def poison(call, shape):
-            if call == 0:
-                return 0
-            return slice(None) if 2 <= call < 2 + depth else slice(0)
+        # row 0's grid increment throws its top particle below the others, so
+        # the step is rejected; the bridge draw puts the whole increment into
+        # the second half, so the first half is accepted and the second is
+        # rejected on every try (its halves are still hundreds of units).
+        # Every other draw is zero, so rows 1 and 2 are always accepted.
+        def script(call, draw):
+            if call < 2:
+                draw[0, 0] = 1e16 if call else -1e16
 
         x0 = np.array([[3.0, 2.0, 1.0]] * 3)
         params = SdeParams(dt_max=1e-3)
-        failed, _ = self.check(x0, params, 3, 1e-3, "eigen", lambda: PoisonedNoise(poison))
+        failed, _ = self.check(x0, params, 3, 1e-3, "eigen", lambda: ScriptedNoise(script))
         np.testing.assert_array_equal(failed, [True, False, False])
 
     def test_row_failing_after_another_froze(self):
-        # row 0 fails on every try in step 1 (calls 0-40); in step 2 only rows
-        # 1 and 2 draw, and row 2 (index 1 of that draw) fails on every try
-        depth = 40
+        # a NaN increment poisons both of its bridge halves, so row 0 fails on
+        # every try in step 1 (calls 0-40); in step 2 only rows 1 and 2 draw,
+        # and row 2 (index 1 of that draw) fails in the same way
+        depth = 40  # halvings from dt = dt_max down to 1e-12 dt_max
 
-        def poison(call, shape):
+        def script(call, draw):
             if call == 0:
-                return 0
-            if call == depth + 1:
-                return 1
-            return slice(None) if call <= 2 * depth + 1 else slice(0)
+                draw[0] = np.nan
+            elif call == depth + 1:
+                draw[1] = np.nan
 
         x0 = np.array([[3.0, 2.0, 1.0]] * 3)
         params = SdeParams(dt_max=1e-3)
-        failed, _ = self.check(x0, params, 4, 1e-3, "eigen", lambda: PoisonedNoise(poison))
+        failed, _ = self.check(x0, params, 4, 1e-3, "eigen", lambda: ScriptedNoise(script))
         np.testing.assert_array_equal(failed, [True, False, True])
+
+    def test_halved_row_moves_by_its_grid_increment(self, monkeypatch):
+        # record each proposal's step and increments and whether it was
+        # accepted; the accepted sub-steps of every grid step add up to the
+        # grid step and to its increment
+        calls = []
+        propose, accept = sde._propose, sde._accept
+
+        def spy_propose(kind, x, dt, dw, params):
+            calls.append([dt, dw[0].copy(), False])
+            return propose(kind, x, dt, dw, params)
+
+        def spy_accept(kind, new, old, params):
+            good = accept(kind, new, old, params)
+            calls[-1][2] = bool(good.all())
+            return good
+
+        monkeypatch.setattr(sde, "_propose", spy_propose)
+        monkeypatch.setattr(sde, "_accept", spy_accept)
+        x0 = np.array([[1.0 + 1e-4, 1.0, 0.9]])
+        dt = 1e-3
+        _, failed = evolve_ensemble(x0, SdeParams(eta=0.5), 20 * dt, dt, RandomSource(22), "eigen")
+        assert not failed.any()
+        grid = [k for k, (h, _, _) in enumerate(calls) if h == dt]
+        assert len(grid) == 20 and len(calls) > 20
+        for start, stop in zip(grid, grid[1:] + [len(calls)]):
+            taken = [(h, dw) for h, dw, ok in calls[start:stop] if ok]
+            assert math.fsum(h for h, _ in taken) == dt
+            total = np.sum([dw for _, dw in taken], axis=0)
+            np.testing.assert_allclose(total, calls[start][1], rtol=0, atol=1e-15)
 
 
 # lambda_min / lambda_max of the stacks the PSD screen is checked on
@@ -463,12 +493,12 @@ def two_matmul_step(h, params, dt, rng):
 
 class TestMatrixStep:
     def test_scalar_drift_reduction(self):
-        out = matrix_step_batch(np.ones((1, 1, 1), complex), PLAIN, 0.1, ZeroNoise())
+        out, _ = evolve_matrix_ensemble(np.ones((1, 1, 1), complex), PLAIN, 0.1, 0.1, ZeroNoise())
         assert out[0, 0, 0].real == pytest.approx(1.05)
 
     def test_drift_at_zero(self):
         h = np.zeros((1, 3, 3), complex)
-        out = matrix_step_batch(h, SdeParams(eta=0.7), 0.01, ZeroNoise())
+        out, _ = evolve_matrix_ensemble(h, SdeParams(eta=0.7), 0.01, 0.01, ZeroNoise())
         np.testing.assert_allclose(out[0], 0.005 * np.eye(3), atol=1e-15)
 
     def test_trace_drift_linearity(self):
@@ -476,7 +506,7 @@ class TestMatrixStep:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = a @ a.conj().T / 4
         eta, dt = 1.3, 1e-5
-        out = matrix_step_batch(h[None], SdeParams(eta=eta), dt, ZeroNoise())
+        out, _ = evolve_matrix_ensemble(h[None], SdeParams(eta=eta), dt, dt, ZeroNoise())
         tr0 = np.trace(h).real
         tr1 = np.trace(out[0]).real
         want = tr0 + (-(eta + 4) / 2 * tr0 + 4 / 2 * (1 + tr0)) * dt
@@ -495,7 +525,7 @@ class TestMatrixStep:
         h, repairs = evolve_matrix_ensemble(h0, PLAIN, 0.05, 1e-3, RandomSource(14))
         assert repairs.shape == (64,) and not repairs.any()
         np.testing.assert_array_equal(h, np.conjugate(np.swapaxes(h, -1, -2)))
-        one = matrix_step_batch(h, PLAIN, 1e-3, RandomSource(15))
+        one, _ = evolve_matrix_ensemble(h, PLAIN, 1e-3, 1e-3, RandomSource(15))
         np.testing.assert_array_equal(one, np.conjugate(np.swapaxes(one, -1, -2)))
 
     def test_repairs_are_counted_per_row(self):
@@ -539,13 +569,15 @@ class TestMatrixStep:
         assert out is h and not repaired.any()
 
     def test_projection_keeps_psd(self):
-        state = np.diag([1e-8, 0.0]).astype(complex)[None]
-        rng = RandomSource(10)
+        state = np.diag([10.0, 0.0]).astype(complex)[None]
+        rng, repairs = RandomSource(10), 0
         for _ in range(50):
-            state = matrix_step_batch(state, PLAIN, 1e-3, rng)
+            state, repaired = evolve_matrix_ensemble(state, PLAIN, 1e-3, 1e-3, rng)
+            repairs += repaired[0]
             np.testing.assert_allclose(state, np.conj(np.swapaxes(state, -1, -2)), atol=1e-12)
             w = np.linalg.eigvalsh(state)
             assert w.min() >= -1e-14
+        assert repairs > 0
 
 
 class TestEigenvalues:
@@ -564,28 +596,6 @@ class TestEigenvalues:
         h = a @ a.conj().T
         out = eigenvalues(h)
         assert out.values.sum() == pytest.approx(np.trace(h).real, rel=1e-9)
-
-
-class Test1d:
-    def test_entrance_from_zero(self):
-        out = evolve_1d_ensemble(np.array([0.0]), 3, 1.0, 0.01, 0.01, ZeroNoise())
-        assert out[0] == pytest.approx(0.005)
-
-    def test_drift_n1(self):
-        out = evolve_1d_ensemble(np.array([1.0]), 1, 0.0, 0.01, 0.01, ZeroNoise())
-        assert out[0] == pytest.approx(1.0 + 0.5 * 0.01)
-
-    def test_n1_parameterisation_matches_eigen_sde(self):
-        # (1 - eta/2 - N) x + 1/2 at N=1 equals the plain N=1 particle drift
-        for eta in (0.0, 1.0, -0.5):
-            for x in (0.3, 1.0, 2.5):
-                d1 = (1.0 - eta / 2.0 - 1.0) * x + 0.5
-                d2 = eigen_drift(np.array([x]), SdeParams(eta=eta, rescaled=False))[0]
-                assert d1 == pytest.approx(d2, rel=1e-12)
-
-    def test_batch_evolution_positive(self):
-        out = evolve_1d_ensemble(np.zeros(100), 2, 1.0, 0.5, 1e-3, RandomSource(12))
-        assert np.all(out >= 0) and out.mean() > 0
 
 
 class TestGenerator:
