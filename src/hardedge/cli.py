@@ -173,13 +173,12 @@ _Command = NamedTuple("_Command", [("help", str), ("keys", dict), ("make", Calla
 
 
 def _simulate(cfg, rng):
-    params = SdeParams(
-        eta=cfg["eta"], rescaled=cfg["rescaled"], dt_max=cfg["dt_max"], gap_safety=cfg["gap_safety"]
-    )
+    params = SdeParams(eta=cfg["eta"], rescaled=cfg["rescaled"], gap_safety=cfg["gap_safety"])
     traj = simulate(
         OrderedConfig(cfg["initial"]),
         params,
         cfg["horizon"],
+        cfg["dt_max"],
         cfg["save_times"],
         rng,
         integrator=cfg["integrator"],

@@ -71,8 +71,17 @@ class OrderedConfig:
         return bool(v[-1] > 0 and np.all(np.diff(v) < 0))
 
     def require_interior(self):
-        if not self.is_strictly_interior():
-            raise DomainError("config must be strictly ordered and positive")
+        """Raise a DomainError naming the first tied pair, else the zero
+        bottom coordinate, of a config that is not strictly interior."""
+        v = self.values
+        ties = np.nonzero(np.diff(v) == 0)[0]
+        if ties.size:
+            i = int(ties[0])
+            raise DomainError(
+                f"config must be strictly ordered: x[{i}] = x[{i + 1}] = {float(v[i])!r}"
+            )
+        if v[-1] == 0:
+            raise DomainError(f"config must be strictly positive: x[{v.size - 1}] = 0")
 
     def __iter__(self):
         return iter(self.values)
@@ -114,38 +123,27 @@ class OmegaPlusPoint:
 
 @dataclass(frozen=True)
 class SdeParams:
-    """Parameters of the eigenvalue SDE and its step control.
+    """Parameters of the eigenvalue SDE and its step acceptance.
 
     ``rescaled`` selects the 1/(2N) constant-drift normalisation instead of
     the plain 1/2.  A proposed step is accepted only if every gap retains at
     least ``gap_safety`` of its previous size and the bottom coordinate stays
-    above zero; rejected steps are halved.
+    above zero; rejected steps are halved.  The time grid is not a law
+    parameter: every integrator takes its step ``dt`` as an argument.
     """
 
     eta: float = 0.0
     rescaled: bool = False
-    dt_max: float = 1e-3
     gap_safety: float = 0.1
-    positivity_floor: float = 1e-12
 
     def __post_init__(self):
-        if not self.dt_max > 0:
-            raise DomainError("dt_max must be positive")
         if not 0 < self.gap_safety < 1:
             raise DomainError("gap_safety must lie in (0,1)")
-        if not self.positivity_floor > 0:
-            raise DomainError("positivity_floor must be positive")
-
-    @classmethod
-    def defaults(cls, n: int, eta: float = 0.0, rescaled: bool = False, **kw) -> "SdeParams":
-        """Default step sizes: 1e-3 up to N=64, shrunk as 32/N beyond."""
-        dt_max = kw.pop("dt_max", 1e-3 if n <= 64 else 1e-3 * 32.0 / n)
-        return cls(eta=eta, rescaled=rescaled, dt_max=dt_max, **kw)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Saved states of one simulated path, with full provenance."""
+    """Saved states of one simulated path, with its seed, stream and law parameters."""
 
     times: Tuple[float, ...]
     states: Tuple[OrderedConfig, ...]

@@ -15,8 +15,7 @@ class DomainError(HardedgeError):
 
 class StepFailure(HardedgeError):
     """Adaptive halving found no acceptable step: the proposal was still
-    rejected at the first sub-step no longer than the halving floor (a fixed
-    fraction of dt_max), which may be up to half that floor."""
+    rejected after 40 halvings, at a sub-step of 2^-40 times its grid step."""
 
     def __init__(self, message, time=None):
         super().__init__(message)

@@ -26,7 +26,7 @@ from .equilibrium import bessel_kernel, inverse_bessel_kernel, inverse_laguerre_
 from .errors import DomainError, StepFailure
 from .kernels import boundary_corner_samples, chain_samples, corner_of_each, corner_samples
 from .rng import RandomSource
-from .sde import _advance_batch, _halving_depth, _time_steps, evolve_ensemble, evolve_matrix_ensemble
+from .sde import _advance_batch, _time_steps, evolve_ensemble, evolve_matrix_ensemble
 from .stats import energy_permutation_test, ks_per_coordinate
 
 __all__ = [
@@ -197,15 +197,16 @@ def run_intertwining(
 
     The two pipelines are equal in law when both use the same drift
     parameter; passing ``eta_corner_side`` different from ``eta`` gives the
-    negative control.
+    negative control.  A tied or zero start, at which every replica would
+    freeze, is a DomainError that names it.
     """
+    x.require_interior()
     eta_b = eta if eta_corner_side is None else eta_corner_side
     n_top = x.n
+    par_a = SdeParams(eta=eta, rescaled=False)
+    par_b = SdeParams(eta=eta_b, rescaled=False)
 
     def collect(sub_rng, total, dt_step):
-        par_a = SdeParams(eta=eta, rescaled=False, dt_max=dt_step)
-        par_b = SdeParams(eta=eta_b, rescaled=False, dt_max=dt_step)
-
         def worker(block_rng, count):
             top, fail_a = evolve_ensemble(
                 np.tile(x.values, (count, 1)), par_a, t, dt_step, block_rng.child(0)
@@ -328,19 +329,21 @@ def run_equilibrium(
 
     ``x0=None`` starts every replica from an independent equilibrium draw,
     which is the stationarity control: the statistic then stays at the
-    noise floor for all times.
+    noise floor for all times.  A tied or zero ``x0`` is a DomainError that
+    names it.
     """
     if eta <= -1:
         raise DomainError("equilibrium requires eta > -1")
     t_grid = [float(t) for t in t_grid]
     if not t_grid or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
         raise DomainError("t_grid must be nonempty, positive and increasing")
+    if x0 is not None:
+        x0.require_interior()
+    params = SdeParams(eta=eta, rescaled=False)
 
     def collect(sub_rng, total, dt_step):
         """Surviving replicas' states at every grid time, shape (kept, T, N),
         and the number discarded."""
-        params = SdeParams(eta=eta, rescaled=False, dt_max=dt_step)
-
         def worker(block_rng, count):
             if x0 is None:
                 state = inverse_laguerre_samples(N, eta, count, block_rng.child(999))
@@ -463,7 +466,7 @@ def run_coupling_l2(
     increments = rng.standard_normal((len(steps), sizes[-1])) * np.sqrt(steps)[:, None]
 
     states = {m: _lifted_initial(omega_target, m, dt) for m in sizes}
-    params = SdeParams(eta=eta, rescaled=True, dt_max=dt)
+    params = SdeParams(eta=eta, rescaled=True)
     bridges = {m: rng.child(m) for m in states}
     sup_disc = {}
     halved = 0
@@ -478,10 +481,9 @@ def run_coupling_l2(
         sup_disc[(a, b)] = pair_disc(states[a], states[b])
 
     for s, step in enumerate(steps):
-        depth = _halving_depth(step, params)
         for m, x in states.items():
             dw = increments[s, None, :m]
-            new, failed = _advance_batch(x[None], step, dw, depth, bridges[m], params, "log")
+            new, failed = _advance_batch(x[None], step, dw, bridges[m], params, "log")
             if failed is not None:
                 if failed[0]:
                     raise StepFailure(f"coupling integration failed for N={m}", time=s * dt)
@@ -550,10 +552,9 @@ def run_collision_bound(
         raise DomainError("need at least one configuration in the family")
     big_c = max(lyapunov_f(cfg, 1) for cfg in x_family)
     bound = (big_c + t / eps) / abs(np.log(delta))
+    params = SdeParams(eta=eta, rescaled=True)
 
     def hit_rate(sub_rng, total, cfg, dt_step):
-        params = SdeParams(eta=eta, rescaled=True, dt_max=dt_step)
-
         def worker(block_rng, count):
             x = np.tile(cfg.values, (count, 1))
             live = np.arange(count)
@@ -694,10 +695,9 @@ def run_matrix_eigen_agreement(
     x0 = np.linalg.eigvalsh(h0)[::-1]
     if not (np.all(np.diff(x0) < 0) and x0[-1] > 0):
         raise DomainError("eval(H0) must be strictly interior")
+    params = SdeParams(eta=eta, rescaled=False)
 
     def collect(sub_rng, total, dt_step):
-        params = SdeParams(eta=eta, rescaled=False, dt_max=dt_step)
-
         def matrix_worker(block_rng, count):
             h0s = np.tile(h0, (count, 1, 1))
             h, repairs = evolve_matrix_ensemble(h0s, params, t, dt_step, block_rng)

@@ -39,11 +39,11 @@ __all__ = [
     "log_drift",
 ]
 
-# The halving floor, as a fraction of dt_max.  A step of length dt halves at
-# most ceil(log2(dt / floor)) times (never when dt <= floor), so the shortest
-# sub-step it tries is the first one no longer than the floor, which can be as
-# short as floor/2; a row still rejected at that length fails.
-_MIN_DT_FRACTION = 1e-12
+# A step of length dt halves at most this many times, so its shortest sub-step
+# is dt * 2**-40; a row still rejected at that length fails.
+_MAX_HALVINGS = 40
+# The bottom coordinate an eigen-coordinate step must stay above.
+_POSITIVITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,11 @@ def _accept(kind: str, new: np.ndarray, old: np.ndarray, params: SdeParams) -> n
     good = np.isfinite(new)
     good[..., :-1] &= new[..., :-1] - new[..., 1:] > params.gap_safety * (old[..., :-1] - old[..., 1:])
     # log steps keep positivity by construction; eigen steps must clear the floor
-    good[..., -1] &= new[..., -1] > (params.positivity_floor if kind == "eigen" else 0.0)
+    good[..., -1] &= new[..., -1] > (_POSITIVITY_FLOOR if kind == "eigen" else 0.0)
     return good
 
 
-def _advance_batch(x, dt, dw, depth, rng, params, kind):
+def _advance_batch(x, dt, dw, rng, params, kind, depth=_MAX_HALVINGS):
     """Advance all rows by dt on their Brownian increments dw.  Returns
     (new_x, failed_mask), the mask None when every row was accepted at the
     first proposal.
@@ -143,12 +143,12 @@ def _advance_batch(x, dt, dw, depth, rng, params, kind):
     rejected = dw[bad]
     first = rejected / 2.0 + rng.standard_normal(rejected.shape) * math.sqrt(dt / 4.0)
     second = rejected - first
-    sub, f1 = _advance_batch(x[bad], dt / 2.0, first, depth - 1, rng, params, kind)
+    sub, f1 = _advance_batch(x[bad], dt / 2.0, first, rng, params, kind, depth - 1)
     f1 = np.zeros(bad.size, dtype=bool) if f1 is None else f1
     alive = np.nonzero(~f1)[0]
     if alive.size:
         sub[alive], f2 = _advance_batch(
-            sub[alive], dt / 2.0, second[alive], depth - 1, rng, params, kind
+            sub[alive], dt / 2.0, second[alive], rng, params, kind, depth - 1
         )
         if f2 is not None:
             f1[alive[f2]] = True
@@ -167,11 +167,6 @@ def _time_steps(horizon: float, dt: float) -> list[float]:
     return [dt] * count + ([rest] if rest > 1e-9 * dt else [])
 
 
-def _halving_depth(dt: float, params: SdeParams) -> int:
-    floor = _MIN_DT_FRACTION * params.dt_max
-    return max(0, int(np.ceil(np.log2(max(dt / floor, 1.0)))))
-
-
 def evolve_ensemble(
     states: np.ndarray,
     params: SdeParams,
@@ -184,8 +179,8 @@ def evolve_ensemble(
 
     Each grid step draws one Brownian increment per live replica, which a
     rejected replica splits by ``_advance_batch``'s bridge rule.  Replicas
-    whose halving bottoms out are frozen and flagged; the returned mask
-    marks them.  Frozen replicas draw no further noise.  Noise
+    still rejected after 40 halvings are frozen and flagged; the returned
+    mask marks them.  Frozen replicas draw no further noise.  Noise
     consumption is a deterministic function of the rng stream, so identical
     sources give identical ensembles.
     """
@@ -195,18 +190,16 @@ def evolve_ensemble(
     if x.ndim == 1:
         x = x[None, :]
     failed = np.zeros(x.shape[0], dtype=bool)
-    steps = _time_steps(horizon, dt)
-    depths = {step: _halving_depth(step, params) for step in set(steps)}
-    for step in steps:
+    for step in _time_steps(horizon, dt):
         if failed.any():
             live = np.nonzero(~failed)[0]
             dw = rng.standard_normal((live.size, x.shape[1])) * math.sqrt(step)
-            x[live], fail_now = _advance_batch(x[live], step, dw, depths[step], rng, params, integrator)
+            x[live], fail_now = _advance_batch(x[live], step, dw, rng, params, integrator)
             if fail_now is not None:
                 failed[live[fail_now]] = True
         else:
             dw = rng.standard_normal(x.shape) * math.sqrt(step)
-            x, fail_now = _advance_batch(x, step, dw, depths[step], rng, params, integrator)
+            x, fail_now = _advance_batch(x, step, dw, rng, params, integrator)
             if fail_now is not None:
                 failed = fail_now
     return x, failed
@@ -220,11 +213,12 @@ def simulate(
     initial: OrderedConfig,
     params: SdeParams,
     horizon: float,
+    dt: float,
     save_times: Sequence[float],
     rng,
     integrator: str = "log",
 ) -> Trajectory:
-    """Integrate one path and record the state at the requested times.
+    """Integrate one path on a dt grid and record the state at the requested times.
 
     Each grid step is a one-row :func:`evolve_ensemble` call; a step whose
     halving bottoms out raises :class:`StepFailure` at the step's start time.
@@ -234,6 +228,8 @@ def simulate(
         raise DomainError("save_times must be increasing within [0, horizon]")
     if integrator not in ("eigen", "log"):
         raise DomainError(f"unknown integrator {integrator!r}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise DomainError(f"need a finite dt > 0, got dt={dt}")
     times = [0.0]
     states = [initial]
     x, started = initial.values[None, :], False
@@ -241,14 +237,14 @@ def simulate(
         if target <= 0.0:
             continue
         t = times[-1]
-        for dt in _time_steps(target - t, params.dt_max):
+        for step in _time_steps(target - t, dt):
             if not started:  # accepted steps stay interior, so only the start is checked
                 initial.require_interior()
                 started = True
-            x, failed = evolve_ensemble(x, params, dt, dt, rng, integrator)
+            x, failed = evolve_ensemble(x, params, step, step, rng, integrator)
             if failed[0]:
                 raise StepFailure(f"step failed at t={t:.6g}", time=t)
-            t += dt
+            t += step
         times.append(target)
         states.append(OrderedConfig(x[0]))
     return Trajectory(

@@ -203,7 +203,7 @@ def test_c06_generator_martingale():
     ok_all = True
     lines = []
     for k, eta in enumerate((0.0, 1.0)):
-        params = SdeParams(eta=eta, rescaled=False, dt_max=delta / 5)
+        params = SdeParams(eta=eta, rescaled=False)
         ens, failed = evolve_ensemble(
             np.tile(x0.values, (n, 1)), params, delta, delta / 5, RandomSource(SEED, 30 + k)
         )

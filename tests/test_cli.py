@@ -43,6 +43,7 @@ class TestSimulate:
             OrderedConfig([3.0, 2.0, 1.0]),
             SdeParams(eta=0.5),
             0.02,
+            1e-3,
             [0.01, 0.02],
             RandomSource(7, 0),
         )
@@ -297,6 +298,28 @@ class TestExperimentCommand:
             argv += ["--set", item]
         assert run_cli(tmp_path, *argv) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, settings, named",
+        [
+            ("intertwining", ["x=[2,2,1]", "t=0.25", "n=300"], "x[0] = x[1] = 2.0"),
+            ("equilibrium", ["N=3", "eta=1", "x0=[2,1,0]", "t_grid=[1]", "n=300"], "x[2] = 0"),
+        ],
+        ids=["intertwining-tie", "equilibrium-zero"],
+    )
+    def test_tied_or_zero_start_is_named_up_front(
+        self, tmp_path, capsys, monkeypatch, name, settings, named
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("evolved from a start that is not strictly interior")
+
+        monkeypatch.setattr(experiments, "evolve_ensemble", never)
+        argv = ["experiment", name, "--seed", "1"]
+        for item in settings:
+            argv += ["--set", item]
+        assert run_cli(tmp_path, *argv) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
 

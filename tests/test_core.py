@@ -32,6 +32,19 @@ class TestOrderedConfig:
         assert c.n == 4
         assert not c.is_strictly_interior()
 
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            ([3.0, 2.0, 2.0, 0.0], r"x\[1\] = x\[2\] = 2\.0"),
+            ([0.0, 0.0], r"x\[0\] = x\[1\] = 0\.0"),
+            ([3.0, 2.0, 0.0], r"x\[2\] = 0"),
+        ],
+    )
+    def test_require_interior_names_the_tie_or_the_zero(self, values, named):
+        with pytest.raises(DomainError, match=named):
+            OrderedConfig(values).require_interior()
+        OrderedConfig([3.0, 2.0, 1.0]).require_interior()
+
     def test_rejects_increasing(self):
         with pytest.raises(DomainError):
             OrderedConfig([1.0, 2.0])
@@ -68,13 +81,7 @@ class TestOmegaPlusPoint:
 class TestSdeParams:
     def test_validation(self):
         with pytest.raises(DomainError):
-            SdeParams(dt_max=-1.0)
-        with pytest.raises(DomainError):
             SdeParams(gap_safety=1.5)
-
-    def test_default_dt_scales_down_for_large_n(self):
-        assert SdeParams.defaults(64).dt_max == pytest.approx(1e-3)
-        assert SdeParams.defaults(128).dt_max == pytest.approx(1e-3 * 32 / 128)
 
 
 class TestTrajectory:

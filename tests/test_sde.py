@@ -22,7 +22,6 @@ from hardedge.sde import (
 )
 
 PLAIN = SdeParams(eta=0.0, rescaled=False)
-WIDE = SdeParams(eta=0.0, rescaled=False, dt_max=0.1)
 
 
 def drift_by_loops(x: np.ndarray, params: SdeParams, kind: str) -> np.ndarray:
@@ -57,7 +56,7 @@ def reference_evolve(x0, params, steps, dt, rng, kind):
             prop = x + x * dw + eigen_drift(x, params) * h
         else:
             prop = x * np.exp(dw + log_drift(x, params) * h)
-        floor = params.positivity_floor if kind == "eigen" else 0.0
+        floor = 1e-12 if kind == "eigen" else 0.0
         ok = np.all(np.isfinite(prop), axis=1) & (prop[:, -1] > floor)
         gaps = prop[:, :-1] - prop[:, 1:]
         ok &= np.all(gaps > params.gap_safety * (x[:, :-1] - x[:, 1:]), axis=1)
@@ -85,7 +84,7 @@ def reference_evolve(x0, params, steps, dt, rng, kind):
     x = np.array(x0, dtype=float)
     failed = np.zeros(len(x), dtype=bool)
     rejections = 0
-    depth = math.ceil(math.log2(dt / (1e-12 * params.dt_max)))
+    depth = 40
     for _ in range(steps):
         live = np.nonzero(~failed)[0]
         dw = rng.standard_normal((live.size, x.shape[1])) * np.sqrt(dt)
@@ -138,7 +137,7 @@ def sum_sq() -> SmoothFunction:
 
 class TestEigenStep:
     def test_drift_only_n1_plain(self):
-        out, _ = one_step([1.0], WIDE, 0.1, ZeroNoise(), "eigen")
+        out, _ = one_step([1.0], PLAIN, 0.1, ZeroNoise(), "eigen")
         assert out[0] == pytest.approx(1.05)
 
     def test_drift_only_n2_plain(self):
@@ -147,19 +146,19 @@ class TestEigenStep:
         np.testing.assert_allclose(out, [2.0 + 2.5 * dt, 1.0 - 1.5 * dt])
 
     def test_n1_rescaled_equals_plain(self):
-        p = SdeParams(eta=0.0, rescaled=True, dt_max=0.1)
+        p = SdeParams(eta=0.0, rescaled=True)
         out, _ = one_step([1.0], p, 0.1, ZeroNoise(), "eigen")
         assert out[0] == pytest.approx(1.05)
 
     def test_requires_interior(self):
-        with pytest.raises(DomainError):
-            simulate(OrderedConfig([1.0, 1.0]), PLAIN, 0.01, [0.01], ZeroNoise(), "eigen")
+        with pytest.raises(DomainError, match=r"x\[0\] = x\[1\] = 1\.0"):
+            simulate(OrderedConfig([1.0, 1.0]), PLAIN, 0.01, 1e-3, [0.01], ZeroNoise(), "eigen")
 
     def test_step_failure_on_impossible_state(self):
-        # with dt_max = 1 the halving floor is 1e-12; across a 5e-13 gap the
-        # interaction kick at that dt is ~2, so positivity always fails
+        # at dt = 1 the shortest sub-step is 2^-40 ~ 9e-13; across a 5e-13 gap
+        # the interaction kick at that dt is ~2, so positivity always fails
         x0 = [1.0 + 5e-13, 1.0]
-        out, failed = one_step(x0, SdeParams(dt_max=1.0), 1.0, ZeroNoise(), "eigen")
+        out, failed = one_step(x0, PLAIN, 1.0, ZeroNoise(), "eigen")
         assert failed
         np.testing.assert_array_equal(out, x0)
 
@@ -185,12 +184,12 @@ class TestEigenStep:
 
 class TestLogStep:
     def test_stationary_point_n1_rescaled(self):
-        p = SdeParams(eta=0.0, rescaled=True, dt_max=0.01)
+        p = SdeParams(eta=0.0, rescaled=True)
         out, _ = one_step([1.0], p, 0.01, ZeroNoise(), "log")
         assert out[0] == pytest.approx(1.0)
 
     def test_drift_n1_rescaled_x2(self):
-        p = SdeParams(eta=0.0, rescaled=True, dt_max=0.01)
+        p = SdeParams(eta=0.0, rescaled=True)
         dt = 0.01
         out, _ = one_step([2.0], p, dt, ZeroNoise(), "log")
         assert out[0] == pytest.approx(2.0 * np.exp((-0.5 + 0.25) * dt))
@@ -226,6 +225,7 @@ class TestSimulate:
             OrderedConfig([3.0, 2.0, 1.0]),
             SdeParams(eta=0.5),
             horizon=0.2,
+            dt=1e-3,
             save_times=[0.05, 0.1, 0.2],
             rng=RandomSource(7),
         )
@@ -237,6 +237,7 @@ class TestSimulate:
         kw = dict(
             params=SdeParams(eta=1.0),
             horizon=0.1,
+            dt=1e-3,
             save_times=[0.1],
             integrator="eigen",
         )
@@ -248,6 +249,7 @@ class TestSimulate:
         kw = dict(
             params=SdeParams(eta=0.0),
             horizon=0.05,
+            dt=1e-3,
             save_times=[0.05],
         )
         a = simulate(OrderedConfig([2.0, 1.0]), rng=RandomSource(11, 3), **kw)
@@ -256,12 +258,12 @@ class TestSimulate:
 
     def test_save_time_validation(self):
         with pytest.raises(DomainError):
-            simulate(OrderedConfig([1.0]), PLAIN, 1.0, [2.0], ZeroNoise())
+            simulate(OrderedConfig([1.0]), PLAIN, 1.0, 1e-3, [2.0], ZeroNoise())
 
     def test_step_failure_reports_the_start_of_the_failing_step(self):
         cfg = OrderedConfig([1.0 + 5e-13, 1.0])
         with pytest.raises(StepFailure) as info:
-            simulate(cfg, SdeParams(dt_max=1.0), 1.0, [1.0], RandomSource(3), "eigen")
+            simulate(cfg, PLAIN, 1.0, 1.0, [1.0], RandomSource(3), "eigen")
         assert info.value.time == 0.0
 
     @pytest.mark.parametrize(
@@ -275,9 +277,9 @@ class TestSimulate:
     def test_one_path_is_one_ensemble_row(self, x0, kind, halves):
         # same grid and stream; the near-tie case halves along the way
         steps, dt = 20, 1e-3
-        params = SdeParams(eta=0.5, dt_max=dt)
+        params = SdeParams(eta=0.5)
         rng = CountingNoise(23, 1)
-        traj = simulate(OrderedConfig(x0), params, steps * dt, [steps * dt], rng, kind)
+        traj = simulate(OrderedConfig(x0), params, steps * dt, dt, [steps * dt], rng, kind)
         ens, failed = evolve_ensemble(np.array([x0]), params, steps * dt, dt, RandomSource(23, 1), kind)
         assert not failed.any()
         np.testing.assert_array_equal(traj.states[-1].values, ens[0])
@@ -321,26 +323,22 @@ class TestEnsemble:
         assert np.all(np.diff(out, axis=1) < 0) and np.all(out[:, -1] > 0)
 
     def test_failed_replicas_freeze(self):
-        # unresolvable near-tie: with a gap below the halving floor every
+        # unresolvable near-tie: with a gap below the shortest sub-step every
         # replica freezes and is flagged rather than crashing the ensemble
         x0 = np.array([[1.0 + 5e-13, 1.0]] * 3)
-        out, failed = evolve_ensemble(
-            x0, SdeParams(dt_max=1.0), 1.0, 1.0, RandomSource(9), integrator="eigen"
-        )
+        out, failed = evolve_ensemble(x0, PLAIN, 1.0, 1.0, RandomSource(9), integrator="eigen")
         assert failed.all()
         np.testing.assert_array_equal(out, x0)
 
     def test_frozen_rows_stop_drawing(self):
-        # the near-tie row freezes in the first step after a full halving
-        # recursion; after that only the healthy rows draw, once per step
-        x0 = np.array([[1.0 + 5e-13, 1.0]] + [[2.0, 1.0]] * 3)
-        params = SdeParams(dt_max=1.0)
+        # the near-tie row freezes in the first step after all 40 halvings;
+        # after that only the healthy rows draw, once per step
+        x0 = np.array([[1.0 + 1e-15, 1.0]] + [[2.0, 1.0]] * 3)
         steps, dt = 100, 0.01
         rng = CountingNoise(9)
-        _, failed = evolve_ensemble(x0, params, steps * dt, dt, rng, "eigen")
+        _, failed = evolve_ensemble(x0, PLAIN, steps * dt, dt, rng, "eigen")
         np.testing.assert_array_equal(failed, [True, False, False, False])
-        depth = math.ceil(math.log2(dt / (1e-12 * params.dt_max)))
-        assert rng.calls == steps + depth
+        assert rng.calls == steps + 40
 
     @pytest.mark.parametrize("horizon", [0.0, 0.01])
     def test_unknown_integrator_is_a_domain_error(self, horizon):
@@ -381,9 +379,8 @@ class TestEngineAgainstReference:
         assert rejections > 0 and not failed.any()
 
     def test_frozen_rows_mixed_with_healthy_rows(self):
-        x0 = np.array([[1.0 + 5e-13, 1.0]] + [[2.0, 1.0]] * 3)
-        params = SdeParams(dt_max=1.0)
-        failed, _ = self.check(x0, params, 4, 0.25, "eigen", lambda: RandomSource(9))
+        x0 = np.array([[1.0 + 1e-15, 1.0]] + [[2.0, 1.0]] * 3)
+        failed, _ = self.check(x0, PLAIN, 4, 0.25, "eigen", lambda: RandomSource(9))
         np.testing.assert_array_equal(failed, [True, False, False, False])
 
     def test_row_failing_in_its_second_half_stays_frozen(self):
@@ -397,15 +394,14 @@ class TestEngineAgainstReference:
                 draw[0, 0] = 1e16 if call else -1e16
 
         x0 = np.array([[3.0, 2.0, 1.0]] * 3)
-        params = SdeParams(dt_max=1e-3)
-        failed, _ = self.check(x0, params, 3, 1e-3, "eigen", lambda: ScriptedNoise(script))
+        failed, _ = self.check(x0, PLAIN, 3, 1e-3, "eigen", lambda: ScriptedNoise(script))
         np.testing.assert_array_equal(failed, [True, False, False])
 
     def test_row_failing_after_another_froze(self):
         # a NaN increment poisons both of its bridge halves, so row 0 fails on
         # every try in step 1 (calls 0-40); in step 2 only rows 1 and 2 draw,
         # and row 2 (index 1 of that draw) fails in the same way
-        depth = 40  # halvings from dt = dt_max down to 1e-12 dt_max
+        depth = 40  # halvings of every step, down to dt * 2^-40
 
         def script(call, draw):
             if call == 0:
@@ -414,9 +410,25 @@ class TestEngineAgainstReference:
                 draw[1] = np.nan
 
         x0 = np.array([[3.0, 2.0, 1.0]] * 3)
-        params = SdeParams(dt_max=1e-3)
-        failed, _ = self.check(x0, params, 4, 1e-3, "eigen", lambda: ScriptedNoise(script))
+        failed, _ = self.check(x0, PLAIN, 4, 1e-3, "eigen", lambda: ScriptedNoise(script))
         np.testing.assert_array_equal(failed, [True, False, True])
+
+    def test_remainder_step_halves_as_often_as_a_full_step(self):
+        # a horizon of 1.5 dt is one full step and one dt/2 remainder; a NaN
+        # increment poisons row 0 on the full step and row 1 on the remainder,
+        # and each takes exactly 40 one-row bridge draws before it freezes
+        dt = 1e-3
+        shapes = []
+
+        def script(call, draw):
+            shapes.append(draw.shape)
+            if call in (0, 41):
+                draw[0] = np.nan
+
+        x0 = np.array([[3.0, 2.0, 1.0]] * 3)
+        _, failed = evolve_ensemble(x0, PLAIN, 1.5 * dt, dt, ScriptedNoise(script), "eigen")
+        np.testing.assert_array_equal(failed, [True, True, False])
+        assert shapes == [(3, 3)] + [(1, 3)] * 40 + [(2, 3)] + [(1, 3)] * 40
 
     def test_halved_row_moves_by_its_grid_increment(self, monkeypatch):
         # record each proposal's step and increments and whether it was
