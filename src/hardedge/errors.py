@@ -43,7 +43,7 @@ class ParameterError(HardedgeError):
 
 
 class ConvergenceFailure(HardedgeError):
-    """A special-function evaluation failed to converge."""
+    """A special-function evaluation or a tridiagonal eigensolve failed."""
 
 
 class EmptySample(HardedgeError):

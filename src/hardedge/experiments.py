@@ -198,8 +198,11 @@ def run_intertwining(
     The two pipelines are equal in law when both use the same drift
     parameter; passing ``eta_corner_side`` different from ``eta`` gives the
     negative control.  A tied or zero start, at which every replica would
-    freeze, is a DomainError that names it.
+    freeze, is a DomainError that names it, as is an ``x`` with fewer than
+    2 coordinates, which has no corner.
     """
+    if x.n < 2:
+        raise DomainError(f"x must have at least 2 coordinates for a corner, got {x.n}")
     x.require_interior()
     eta_b = eta if eta_corner_side is None else eta_corner_side
     n_top = x.n
@@ -329,8 +332,8 @@ def run_equilibrium(
 
     ``x0=None`` starts every replica from an independent equilibrium draw,
     which is the stationarity control: the statistic then stays at the
-    noise floor for all times.  A tied or zero ``x0`` is a DomainError that
-    names it.
+    noise floor for all times.  A tied or zero ``x0``, or one without N
+    coordinates, is a DomainError that names it.
     """
     if eta <= -1:
         raise DomainError("equilibrium requires eta > -1")
@@ -338,6 +341,8 @@ def run_equilibrium(
     if not t_grid or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
         raise DomainError("t_grid must be nonempty, positive and increasing")
     if x0 is not None:
+        if x0.n != N:
+            raise DomainError(f"x0 must have N={N} coordinates, got {x0.n}")
         x0.require_interior()
     params = SdeParams(eta=eta, rescaled=False)
 
@@ -638,8 +643,7 @@ def run_hard_edge_density(
         raise DomainError(f"top must be in 1..N={N}, got {top}")
 
     def worker(block_rng, count):
-        samples = inverse_laguerre_samples(N, eta, count, block_rng)
-        return samples[:, :top] / N
+        return inverse_laguerre_samples(N, eta, count, block_rng, top) / N
 
     tops = _run_blocks(n, worker, rng.child(0), threads)
     counts, edges = np.histogram(tops.ravel(), bins=bins)

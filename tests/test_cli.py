@@ -311,8 +311,29 @@ class TestExperimentCommand:
     def test_tied_or_zero_start_is_named_up_front(
         self, tmp_path, capsys, monkeypatch, name, settings, named
     ):
+        self._fails_before_evolving(tmp_path, capsys, monkeypatch, name, settings, named)
+
+    @pytest.mark.parametrize(
+        "name, settings, named",
+        [
+            ("intertwining", ["x=[3]", "t=0.25", "n=300"], "x must have at least 2"),
+            (
+                "equilibrium",
+                ["N=2", "eta=1", "x0=[3,2,1]", "t_grid=[0.1]", "n=50", "n_perm=200"],
+                "x0 must have N=2 coordinates, got 3",
+            ),
+        ],
+        ids=["intertwining-one-coordinate", "equilibrium-x0-not-N"],
+    )
+    def test_wrong_size_start_is_named_up_front(
+        self, tmp_path, capsys, monkeypatch, name, settings, named
+    ):
+        self._fails_before_evolving(tmp_path, capsys, monkeypatch, name, settings, named)
+
+    @staticmethod
+    def _fails_before_evolving(tmp_path, capsys, monkeypatch, name, settings, named):
         def never(*args, **kwargs):
-            raise AssertionError("evolved from a start that is not strictly interior")
+            raise AssertionError("evolved from a start that fails a precondition")
 
         monkeypatch.setattr(experiments, "evolve_ensemble", never)
         argv = ["experiment", name, "--seed", "1"]

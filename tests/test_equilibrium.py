@@ -11,7 +11,8 @@ from hardedge.equilibrium import (
     inverse_laguerre_samples,
     laguerre_samples,
 )
-from hardedge.errors import DomainError, ParameterError
+from hardedge import equilibrium
+from hardedge.errors import ConvergenceFailure, DomainError, ParameterError
 from hardedge.rng import RandomSource
 
 
@@ -73,6 +74,61 @@ class TestInverseLaguerre:
         y = laguerre_samples(4, 0.7, 10, RandomSource(9, 3))
         x = inverse_laguerre_samples(4, 0.7, 10, RandomSource(9, 3))
         np.testing.assert_array_equal(x, 1.0 / y[:, ::-1])
+
+
+class NanGamma:
+    """Stub stream whose gamma draws are all NaN."""
+
+    def gamma(self, shape, scale=1.0, size=None):
+        return np.full(size, np.nan)
+
+
+class TestInverseLaguerreTop:
+    @pytest.mark.parametrize("N, k", [(2, 1), (5, 1), (5, 3), (200, 1), (200, 3)])
+    def test_top_is_the_prefix_of_the_full_draw(self, N, k):
+        top = inverse_laguerre_samples(N, 0.5, 40, RandomSource(10, N), top=k)
+        full = inverse_laguerre_samples(N, 0.5, 40, RandomSource(10, N))
+        assert top.shape == (40, k)
+        np.testing.assert_allclose(top, full[:, :k], rtol=1e-9)
+
+    def test_top_n_is_the_full_draw_bitwise(self):
+        top = inverse_laguerre_samples(6, 1.0, 30, RandomSource(11), top=6)
+        full = inverse_laguerre_samples(6, 1.0, 30, RandomSource(11))
+        np.testing.assert_array_equal(top, full)
+
+    def test_top_rows_strictly_decreasing(self):
+        top = inverse_laguerre_samples(200, 1.0, 50, RandomSource(12), top=3)
+        assert np.all(np.diff(top, axis=1) < 0)
+
+    def test_stream_consumption_does_not_depend_on_top(self):
+        a, b = RandomSource(13), RandomSource(13)
+        inverse_laguerre_samples(50, 1.0, 20, a, top=2)
+        inverse_laguerre_samples(50, 1.0, 20, b)
+        np.testing.assert_array_equal(a.standard_normal(8), b.standard_normal(8))
+
+    @pytest.mark.parametrize("top", [0, -1, 6])
+    def test_top_outside_1_to_n_is_domain_error(self, top):
+        with pytest.raises(DomainError, match="top must be in 1..N=5"):
+            inverse_laguerre_samples(5, 1.0, 3, RandomSource(14), top=top)
+
+    @pytest.mark.parametrize("N, top", [(1, None), (5, None), (5, 2)])
+    def test_non_finite_tridiagonal_is_convergence_failure(self, N, top):
+        with pytest.raises(ConvergenceFailure, match="non-finite"):
+            inverse_laguerre_samples(N, 1.0, 3, NanGamma(), top=top)
+
+    @pytest.mark.parametrize(
+        "name, result, top",
+        [
+            ("dsterf", (np.zeros(5), 1), None),
+            ("dstebz", (2, np.zeros(5), None, None, 1), 2),
+            ("dstebz", (1, np.zeros(5), None, None, 0), 2),
+        ],
+        ids=["dsterf-info", "dstebz-info", "dstebz-too-few"],
+    )
+    def test_lapack_failure_is_convergence_failure(self, monkeypatch, name, result, top):
+        monkeypatch.setattr(equilibrium, name, lambda *args: result)
+        with pytest.raises(ConvergenceFailure, match="eigensolve failed"):
+            inverse_laguerre_samples(5, 1.0, 3, RandomSource(15), top=top)
 
 
 class TestBesselJ:
