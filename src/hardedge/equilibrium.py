@@ -42,6 +42,8 @@ def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray
     solver that ``eigh_tridiagonal`` reaches through ``dstevd``, without its
     per-call checks.  k < N finds the k values by ``dstebz`` bisection at
     LAPACK's most accurate tolerance.  The gamma draws do not depend on k.
+    A smallest eigenvalue that comes out <= 0, which happens near eta = -1,
+    raises ConvergenceFailure.
     """
     if eta <= -1:
         raise ParameterError(f"need eta > -1, got {eta}")
@@ -60,19 +62,28 @@ def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray
     if not (np.isfinite(main).all() and np.isfinite(off).all()):
         raise ConvergenceFailure("Laguerre tridiagonal has non-finite entries")
     if N == 1:
-        return main / 2.0
-    out = np.empty((n, k))
-    for r in range(n):
-        if k == N:
-            lam, info = dsterf(main[r], off[r])
-            m = N
-        else:
-            m, lam, _, _, info = dstebz(main[r], off[r], 2, 0.0, 0.0, 1, k, _ABSTOL, "E")
-        if info != 0 or m < k:
-            raise ConvergenceFailure(
-                f"tridiagonal eigensolve failed (info={info}, {m} of {k} eigenvalues)"
-            )
-        out[r] = lam[:k]
+        out = main
+    else:
+        out = np.empty((n, k))
+        for r in range(n):
+            if k == N:
+                lam, info = dsterf(main[r], off[r])
+                m = N
+            else:
+                m, lam, _, _, info = dstebz(main[r], off[r], 2, 0.0, 0.0, 1, k, _ABSTOL, "E")
+            if info != 0 or m < k:
+                raise ConvergenceFailure(
+                    f"tridiagonal eigensolve failed (info={info}, {m} of {k} eigenvalues)"
+                )
+            out[r] = lam[:k]
+    # Both solvers err by ~eps * |T| in absolute terms, which near eta = -1
+    # can exceed the (positive) smallest eigenvalue itself.
+    bad = int(np.count_nonzero(out[:, 0] <= 0))
+    if bad:
+        raise ConvergenceFailure(
+            f"smallest Laguerre eigenvalue <= 0 in {bad} of {n} rows "
+            f"(eta={eta}, N={N}): below the eigensolver's absolute accuracy"
+        )
     return out / 2.0
 
 

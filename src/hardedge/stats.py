@@ -5,12 +5,15 @@ pairwise-distance matrix is computed once and every permutation statistic
 is recovered from one quadratic form, so the permutations batch into a
 single matrix product.  Pools larger than ``max_points`` per side are
 subsampled (the p-value stays exact for the subsample).
+
+The per-coordinate KS p-value for two equal-size samples is computed here,
+step for step as ``scipy.stats.ks_2samp`` computes it exactly, so importing
+this module does not import ``scipy.stats``; the other cases call scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .errors import DomainError, EmptySample
 
@@ -101,16 +104,69 @@ def energy_permutation_test(a, b, n_perm: int, rng, max_points: int = 2500):
     return observed, pvalue, float(null.std())
 
 
+# ks_2samp(method="auto") is exact up to this sample size
+_KS_EXACT_MAX_N = 10000
+
+
+def _prob_outside_square(n: int, h: int) -> float:
+    """P(D_{n,n} >= h/n) by Hodges' Horner recursion, as scipy evaluates it."""
+    p = 0.0
+    k = int(np.floor(n / h))
+    while k >= 0:
+        p1 = 1.0
+        for j in range(h):
+            p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
+        p = p1 * (1.0 - p)
+        k -= 1
+    return 2 * p
+
+
+def _ks_exact_equal_size(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Two-sided exact KS p-value of equal-size finite samples, bit for bit
+    ``ks_2samp(x, y).pvalue``; None where scipy would leave the exact branch."""
+    n = x.shape[0]
+    x = np.sort(x)
+    y = np.sort(y)
+    pooled = np.concatenate([x, y])
+    diffs = np.searchsorted(x, pooled, side="right") / n - np.searchsorted(
+        y, pooled, side="right"
+    ) / n
+    d = max(np.clip(-diffs.min(), 0, 1), diffs.max())
+    h = int(np.round(d * n))
+    if h == 0:
+        return 1.0
+    try:
+        with np.errstate(invalid="raise", over="raise"):
+            prob = _prob_outside_square(n, h)
+    except (FloatingPointError, OverflowError):
+        return None
+    if not 0 <= prob <= 1:
+        return None
+    return prob
+
+
 def ks_per_coordinate(a, b):
-    """Two-sample KS p-value per ordered coordinate; returns array of p's."""
+    """Two-sample KS p-value per ordered coordinate; returns array of p's.
+
+    Each p-value is ``scipy.stats.ks_2samp``'s two-sided ``pvalue``.  Equal
+    sizes up to 10000 finite points take the in-house exact route; scipy is
+    imported only for the other inputs.
+    """
     a = _as_2d(a)
     b = _as_2d(b)
     if a.shape[1] != b.shape[1]:
         raise DomainError("samples must share the vector dimension")
+    exact = (
+        a.shape[0] == b.shape[0] <= _KS_EXACT_MAX_N
+        and np.isfinite(a).all()
+        and np.isfinite(b).all()
+    )
     ps = []
     for k in range(a.shape[1]):
-        if np.array_equal(a[:, k], b[:, k]):
-            ps.append(1.0)
-        else:
-            ps.append(float(ks_2samp(a[:, k], b[:, k]).pvalue))
+        p = _ks_exact_equal_size(a[:, k], b[:, k]) if exact else None
+        if p is None:
+            from scipy.stats import ks_2samp
+
+            p = float(ks_2samp(a[:, k], b[:, k]).pvalue)
+        ps.append(p)
     return np.array(ps)

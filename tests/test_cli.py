@@ -2,6 +2,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -115,6 +117,15 @@ class TestSamplers:
         assert rows[0] == "x1,x2,x3"
         vals = np.array([list(map(float, r.split(","))) for r in rows[1:]])
         assert np.all(np.diff(vals, axis=1) < 0)
+
+    def test_eigenvalue_at_or_below_zero_writes_nothing(self, tmp_path, capsys):
+        code = run_cli(
+            tmp_path, "sample-equilibrium", "--seed", "0", "--set", "N=2",
+            "--set", "eta=-0.9", "--set", "n=300", "--set", "inverse=true",
+        )
+        assert code == 2
+        assert "eta=-0.9, N=2" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
 
     @pytest.mark.parametrize("n", [0, -1])
     @pytest.mark.parametrize(
@@ -281,6 +292,7 @@ class TestExperimentCommand:
             ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=-1"]),
             ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=0"]),
             ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=101"]),
+            ("hard-edge-density", ["N=100", "eta=-0.9", "n=300", "bins=[0.1,2]", "min_count=0"]),
         ],
         ids=[
             "equilibrium-n0", "equilibrium-empty-t_grid", "collision-n0", "collision-no-sizes",
@@ -289,7 +301,7 @@ class TestExperimentCommand:
             "collision-dt0", "coupling-negative-T", "coupling-dt0", "uniform-bump-one-entry",
             "uniform-bump-empty-interval", "collision-eps0", "collision-negative-eps",
             "hard-edge-decreasing-bins", "hard-edge-negative-top", "hard-edge-top0",
-            "hard-edge-top-above-N",
+            "hard-edge-top-above-N", "hard-edge-eta-near-minus-1",
         ],
     )
     def test_malformed_inputs_are_typed_errors(self, tmp_path, capsys, name, settings):
@@ -360,3 +372,17 @@ class TestExperimentTable:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         listing = re.search(r"Experiment names:(.*?)\n\n", readme, re.S).group(1)
         assert re.findall(r"`([a-z0-9-]+)`", listing) == list(_EXPERIMENTS)
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_unimported(self):
+        # importing scipy.stats adds ~0.4 s to the start of every verdict process
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import hardedge.cli, sys; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

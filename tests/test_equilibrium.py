@@ -76,6 +76,16 @@ class TestInverseLaguerre:
         np.testing.assert_array_equal(x, 1.0 / y[:, ::-1])
 
 
+class TestNearEtaMinusOne:
+    @pytest.mark.parametrize("top", [None, 1], ids=["dsterf", "dstebz"])
+    def test_eigenvalue_at_or_below_zero_is_convergence_failure(self, top):
+        # at eta = -0.9 a few of 300 rows have a smallest eigenvalue below
+        # the solvers' absolute error, and it comes out <= 0
+        match = r"<= 0 in \d+ of 300 rows \(eta=-0.9, N=2\)"
+        with pytest.raises(ConvergenceFailure, match=match):
+            inverse_laguerre_samples(2, -0.9, 300, RandomSource(0, 2), top=top)
+
+
 class NanGamma:
     """Stub stream whose gamma draws are all NaN."""
 

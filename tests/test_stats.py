@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.stats
+from scipy.stats import ks_2samp
 
 from hardedge.errors import DomainError, EmptySample
 from hardedge.rng import RandomSource
@@ -96,3 +98,41 @@ class TestKs:
         b[:, 1] += 2.0
         ps = ks_per_coordinate(a, b)
         assert ps[0] > 0.01 and ps[1] < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 256, 1000, 10000])
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_equal_size_pvalue_is_scipys_bit_for_bit(self, monkeypatch, n, shift, ties):
+        # each case's h >= 2 at n = 5, so scipy stays exact (h = 1 is below)
+        rng = np.random.default_rng([1, n, int(10 * shift), int(ties)])
+        a = rng.normal(size=(n, 1))
+        b = rng.normal(size=(n, 1)) + shift
+        if ties:
+            a, b = np.round(a, 1), np.round(b, 1)
+        want = ks_2samp(a[:, 0], b[:, 0]).pvalue
+
+        def no_scipy(*args, **kwargs):
+            raise AssertionError("equal sizes must not reach scipy.stats")
+
+        monkeypatch.setattr(scipy.stats, "ks_2samp", no_scipy)
+        assert ks_per_coordinate(a, b)[0] == want
+
+    @pytest.mark.parametrize(
+        "na, nb, shift", [(30, 40, 0.3), (10001, 10001, 0.05)], ids=["unequal", "n10001"]
+    )
+    def test_other_sizes_are_scipys(self, na, nb, shift):
+        rng = np.random.default_rng(na)
+        a = rng.normal(size=(na, 1))
+        b = rng.normal(size=(nb, 1)) + shift
+        assert ks_per_coordinate(a, b)[0] == ks_2samp(a[:, 0], b[:, 0]).pvalue
+
+    def test_exact_probability_above_one_is_scipys_asymptotic(self):
+        # n = 5, h = 1: the exact recursion gives 2P > 1, where scipy warns
+        # and switches to the asymptotic law
+        a = np.arange(1.0, 6.0)[:, None]
+        b = a + 0.5
+        with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+            want = ks_2samp(a[:, 0], b[:, 0]).pvalue
+        with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+            got = ks_per_coordinate(a, b)[0]
+        assert got == want
