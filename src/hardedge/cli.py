@@ -56,10 +56,12 @@ def _coerce(value, kind, key):
                 raise ValueError
         elif kind == "bool":
             out = value
-        elif kind == "list":
-            out = list(value)
-            if not isinstance(value, (list, tuple)):
+        elif kind == "list":  # every list key holds numbers
+            if not isinstance(value, (list, tuple)) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+            ):
                 raise ValueError
+            out = list(value)
         elif kind == "str":
             if not isinstance(value, str):
                 raise ValueError
@@ -67,7 +69,8 @@ def _coerce(value, kind, key):
         else:  # pragma: no cover
             raise AssertionError(kind)
     except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r}: expected {kind}, got {value!r}") from None
+        expected = "list of numbers" if kind == "list" else kind
+        raise ConfigError(f"key {key!r}: expected {expected}, got {value!r}") from None
     return out
 
 
@@ -128,18 +131,23 @@ def _load_config(args, keys: dict, context: str) -> dict:
     return resolve_config(schema, _apply_overrides(doc, args.set), context)
 
 
+def _nonnegative(value: int, key: str) -> int:
+    if value < 0:
+        raise ConfigError(f"{key} must be a nonnegative integer, got {value}")
+    return value
+
+
 def _resolve_seed(args, config: dict) -> int:
     if args.seed is not None:
-        return int(args.seed)
+        return _nonnegative(args.seed, "--seed")
     if config.get("seed") is not None:
-        return int(config["seed"])
-    env = os.environ.get("HARDEDGE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"HARDEDGE_SEED must be an integer, got {env!r}") from None
-    return 0
+        return _nonnegative(config["seed"], "seed")
+    env = os.environ.get("HARDEDGE_SEED", "0")
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ConfigError(f"HARDEDGE_SEED must be an integer, got {env!r}") from None
+    return _nonnegative(seed, "HARDEDGE_SEED")
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +181,9 @@ _Command = NamedTuple("_Command", [("help", str), ("keys", dict), ("make", Calla
 
 
 def _simulate(cfg, rng):
-    params = SdeParams(eta=cfg["eta"], rescaled=cfg["rescaled"], gap_safety=cfg["gap_safety"])
     traj = simulate(
         OrderedConfig(cfg["initial"]),
-        params,
+        SdeParams(eta=cfg["eta"], rescaled=cfg["rescaled"]),
         cfg["horizon"],
         cfg["dt_max"],
         cfg["save_times"],
@@ -215,7 +222,6 @@ _COMMANDS = {
             "eta": ("float", 0.0),
             "rescaled": ("bool", False),
             "dt_max": ("float", 1e-3),
-            "gap_safety": ("float", 0.1),
             "horizon": ("float", REQUIRED),
             "save_times": ("list", REQUIRED),
             "integrator": ("str", "log"),
@@ -258,7 +264,9 @@ _COMMANDS = {
 def _cmd(args) -> int:
     command = _COMMANDS[args.command]
     cfg = _load_config(args, command.keys, args.command)
-    rng = RandomSource(_resolve_seed(args, cfg), cfg["stream"]) if "stream" in cfg else None
+    rng = None
+    if "stream" in cfg:
+        rng = RandomSource(_resolve_seed(args, cfg), _nonnegative(cfg["stream"], "stream"))
     name, header, rows = command.make(cfg, rng)
     out = os.path.join(args.out, name)
     _write_csv(out, header, rows)
@@ -293,6 +301,8 @@ class _Experiment(NamedTuple):
 
 
 def _geometric_family(sizes, ratio, scale):
+    if not all(float(m).is_integer() for m in sizes):
+        raise DomainError(f"sizes must be whole numbers, got {sizes!r}")
     return [OrderedConfig(scale * m * ratio ** np.arange(1, m + 1)) for m in map(int, sizes)]
 
 
@@ -407,7 +417,7 @@ _EXPERIMENTS = {
             "dt_check": ("bool", False),
         },
         run_matrix_eigen_agreement,
-        {"H0": (lambda x0: np.diag(np.asarray(x0, dtype=float)), ("x0",))},
+        {"x0": (OrderedConfig, ("x0",))},
     ),
 }
 

@@ -65,11 +65,6 @@ class OrderedConfig:
     def n(self) -> int:
         return self.values.size
 
-    def is_strictly_interior(self) -> bool:
-        """Strictly decreasing with a strictly positive bottom coordinate."""
-        v = self.values
-        return bool(v[-1] > 0 and np.all(np.diff(v) < 0))
-
     def require_interior(self):
         """Raise a DomainError naming the first tied pair, else the zero
         bottom coordinate, of a config that is not strictly interior."""
@@ -123,22 +118,19 @@ class OmegaPlusPoint:
 
 @dataclass(frozen=True)
 class SdeParams:
-    """Parameters of the eigenvalue SDE and its step acceptance.
-
-    ``rescaled`` selects the 1/(2N) constant-drift normalisation instead of
-    the plain 1/2.  A proposed step is accepted only if every gap retains at
-    least ``gap_safety`` of its previous size and the bottom coordinate stays
-    above zero; rejected steps are halved.  The time grid is not a law
-    parameter: every integrator takes its step ``dt`` as an argument.
+    """The law of the eigenvalue SDE: the drift parameter ``eta``, and
+    ``rescaled``, which selects the 1/(2N) constant-drift normalisation
+    instead of the plain 1/2.  Step acceptance and the time grid are not law
+    parameters: the integrators fix the acceptance rule and take the step
+    ``dt`` as an argument.
     """
 
     eta: float = 0.0
     rescaled: bool = False
-    gap_safety: float = 0.1
 
     def __post_init__(self):
-        if not 0 < self.gap_safety < 1:
-            raise DomainError("gap_safety must lie in (0,1)")
+        if not np.isfinite(self.eta):
+            raise DomainError(f"eta must be finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -206,8 +198,7 @@ def lyapunov_f(config: OrderedConfig, n: int) -> float:
     x = config.values
     if not 1 <= n <= x.size - 1:
         raise DomainError(f"need 1 <= n <= N-1, got n={n}, N={x.size}")
-    if not config.is_strictly_interior():
-        raise DomainError("Lyapunov functional needs a strictly ordered positive config")
+    config.require_interior()
     top = x[:n]
     bottom = x[n:]
     ratios = bottom[None, :] / top[:, None]

@@ -65,7 +65,7 @@ class ExperimentReport:
     params: dict
     statistics: dict
     thresholds: dict
-    verdicts: dict = field(default_factory=dict)
+    verdicts: dict = field(init=False)
     seeds: tuple = ()
 
     def __post_init__(self):
@@ -74,8 +74,6 @@ class ExperimentReport:
             if key not in self.statistics:
                 raise DomainError(f"threshold {key!r} has no matching statistic")
             verdicts[key] = bool(_OPS[spec["op"]](self.statistics[key], spec["value"]))
-        if self.verdicts and self.verdicts != verdicts:
-            raise DomainError("verdicts are not derivable from statistics and thresholds")
         object.__setattr__(self, "verdicts", verdicts)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
@@ -463,9 +461,11 @@ def run_coupling_l2(
     over all sizes, that were halved.  Pathwise experiment: integration
     failures abort.
     """
+    if not all(float(m).is_integer() for m in N_list):
+        raise DomainError(f"N_list must hold whole numbers, got {list(N_list)!r}")
     sizes = [int(m) for m in N_list]
-    if not sizes or np.any(np.diff(sizes) < 0):
-        raise DomainError("N_list must be nonempty and nondecreasing")
+    if not sizes or np.any(np.diff(sizes) <= 0):
+        raise DomainError("N_list must be nonempty and strictly increasing")
     support = int(np.count_nonzero(omega_target.xs))
     if sizes[0] <= support:
         raise DomainError("smallest system must exceed the support size")
@@ -686,7 +686,7 @@ def run_hard_edge_density(
 def run_matrix_eigen_agreement(
     N: int,
     eta: float,
-    H0: np.ndarray,
+    x0: OrderedConfig,
     t: float,
     n: int,
     rng: RandomSource,
@@ -694,13 +694,15 @@ def run_matrix_eigen_agreement(
     threads: int = 1,
     dt_check: bool = False,
 ) -> ExperimentReport:
-    """Matrix-integrator spectra against the direct eigenvalue integrator."""
-    h0 = np.asarray(H0, dtype=complex)
-    if h0.shape != (N, N):
-        raise DomainError(f"H0 must be {N}x{N}, got shape {h0.shape}")
-    x0 = np.linalg.eigvalsh(h0)[::-1]
-    if not (np.all(np.diff(x0) < 0) and x0[-1] > 0):
-        raise DomainError("eval(H0) must be strictly interior")
+    """Matrix-integrator spectra against the direct eigenvalue integrator.
+
+    Both start from ``x0``, the matrix side from diag(x0).  A tied or zero
+    ``x0``, or one without N coordinates, is a DomainError that names it.
+    """
+    if x0.n != N:
+        raise DomainError(f"x0 must have N={N} coordinates, got {x0.n}")
+    x0.require_interior()
+    h0 = np.diag(x0.values)
     params = SdeParams(eta=eta, rescaled=False)
 
     def collect(sub_rng, total, dt_step):
@@ -714,7 +716,7 @@ def run_matrix_eigen_agreement(
             # matched plain-Euler discretisation on both sides, so the
             # leading-order weak errors largely cancel in the comparison
             return evolve_ensemble(
-                np.tile(x0, (count, 1)), params, t, dt_step, block_rng, "eigen"
+                np.tile(x0.values, (count, 1)), params, t, dt_step, block_rng, "eigen"
             )
 
         a, repairs = _run_blocks(total, matrix_worker, sub_rng.child(0), threads)

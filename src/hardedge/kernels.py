@@ -42,6 +42,8 @@ DENSITY_COND_LIMIT = 1e12
 # Stability envelope of the determinant density formula.
 DENSITY_MAX_N = 30
 DENSITY_MAX_K = 6
+# Boundary sampling drops the smallest atoms whose total mass is below this.
+_TAIL_CUT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -393,26 +395,18 @@ def lambda_k2_cell_masses(x, breaks, order: int = 8):
 # boundary kernel sampling
 # ---------------------------------------------------------------------------
 
-def boundary_corner_samples(
-    omega: OmegaPlusPoint, K: int, n: int, rng, truncation_eps: float = 1e-12
-) -> np.ndarray:
+def boundary_corner_samples(omega: OmegaPlusPoint, K: int, n: int, rng) -> np.ndarray:
     """n draws of the K-level boundary corner law, shape (n, K).
 
     Builds the K x K compression of the scalar-plus-rank-one Gaussian
-    matrix over the point's support.  Finite-support points are sampled
-    exactly; an infinite tail would be cut once its mass drops below
-    ``truncation_eps`` and absorbed into the scalar term.
+    matrix over the point's support.  The smallest atoms, as long as their
+    total mass stays below ``_TAIL_CUT``, are dropped and their mass
+    absorbed into the scalar term; this acts on finite supports too, so a
+    geometric family keeps a bounded frame however large it grows.
     """
     if K < 1:
         raise DomainError("need K >= 1")
-    if not truncation_eps > 0:
-        raise DomainError("truncation_eps must be positive")
     xs = omega.xs[omega.xs > 0]
-    # drop the smallest atoms while the discarded mass stays below the cut
-    if xs.size:
-        tail = np.cumsum(xs[::-1])[::-1]
-        keep = tail >= truncation_eps
-        if not np.all(keep):
-            xs = xs[keep]
+    xs = xs[np.cumsum(xs[::-1])[::-1] >= _TAIL_CUT]
     scalar = omega.gamma - float(xs.sum())
     return _compressed_spectrum(xs, rng.complex_normal((n, xs.size, K)), scalar)

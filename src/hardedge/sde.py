@@ -26,12 +26,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import OrderedConfig, SdeParams, Trajectory
-from .errors import DomainError, EigensolveFailure, StepFailure
+from .errors import DomainError, StepFailure
 
 __all__ = [
     "SmoothFunction",
     "simulate",
-    "eigenvalues",
     "generator_apply",
     "evolve_ensemble",
     "evolve_matrix_ensemble",
@@ -44,6 +43,8 @@ __all__ = [
 _MAX_HALVINGS = 40
 # The bottom coordinate an eigen-coordinate step must stay above.
 _POSITIVITY_FLOOR = 1e-12
+# A step is accepted only if every gap keeps more than this share of its size.
+_GAP_SAFETY = 0.1
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,10 @@ def _propose(kind: str, x: np.ndarray, dt: float, dw: np.ndarray, params: SdePar
     return x * np.exp(dw + log_drift(x, params) * dt)
 
 
-def _accept(kind: str, new: np.ndarray, old: np.ndarray, params: SdeParams) -> np.ndarray:
+def _accept(kind: str, new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Entrywise acceptance; a row is accepted when all its entries are."""
     good = np.isfinite(new)
-    good[..., :-1] &= new[..., :-1] - new[..., 1:] > params.gap_safety * (old[..., :-1] - old[..., 1:])
+    good[..., :-1] &= new[..., :-1] - new[..., 1:] > _GAP_SAFETY * (old[..., :-1] - old[..., 1:])
     # log steps keep positivity by construction; eigen steps must clear the floor
     good[..., -1] &= new[..., -1] > (_POSITIVITY_FLOOR if kind == "eigen" else 0.0)
     return good
@@ -131,7 +132,7 @@ def _advance_batch(x, dt, dw, rng, params, kind, depth=_MAX_HALVINGS):
     and is flagged failed.
     """
     prop = _propose(kind, x, dt, dw, params)
-    good = _accept(kind, prop, x, params)
+    good = _accept(kind, prop, x)
     if good.all():
         return prop, None
     bad = np.nonzero(~good.all(axis=-1))[0]
@@ -355,17 +356,6 @@ def evolve_matrix_ensemble(h0: np.ndarray, params: SdeParams, horizon: float, dt
     return h, repairs
 
 
-def eigenvalues(H: np.ndarray) -> OrderedConfig:
-    """Decreasing eigenvalues of a Hermitian matrix, clipped at zero to 1e-10."""
-    try:
-        w = np.linalg.eigvalsh(np.asarray(H))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(str(exc)) from exc
-    w = w[::-1]
-    w[(w < 0.0) & (w > -1e-10)] = 0.0
-    return OrderedConfig(w)
-
-
 # ---------------------------------------------------------------------------
 # infinitesimal generator
 # ---------------------------------------------------------------------------
@@ -375,14 +365,10 @@ def generator_apply(f: SmoothFunction, config: OrderedConfig, eta: float) -> flo
 
     L f = sum_i x_i^2/2 f_ii + sum_i [ -(eta/2) x_i + 1/2 + interaction_i ] f_i.
     """
-    from .core import singular_drift
-
     config.require_interior()
     x = config.values
     grad = np.asarray(f.gradient(x), dtype=float)
     hess = np.asarray(f.hessian(x), dtype=float)
     hess_diag = np.diag(hess) if hess.ndim == 2 else hess
-    drift = np.array([
-        -(eta / 2.0) * x[i] + 0.5 + singular_drift(i, config) for i in range(x.size)
-    ])
+    drift = eigen_drift(x, SdeParams(eta=eta))
     return float(np.sum(x**2 / 2.0 * hess_diag) + np.sum(drift * grad))

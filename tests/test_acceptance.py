@@ -238,9 +238,9 @@ def test_c07_intertwining():
 
 def test_c08_matrix_eigen_agreement():
     """Matrix chain spectra match the particle chain marginals. (< 5 min)"""
-    h0 = np.diag([3.0, 2.0, 1.0])
-    trivial = run_matrix_eigen_agreement(3, 0.0, h0, 0.0, 2000, RandomSource(SEED, 50))
-    rep = run_matrix_eigen_agreement(3, 0.0, h0, 0.5, 20_000, RandomSource(SEED, 51), dt=2.5e-4)
+    x0 = OrderedConfig([3.0, 2.0, 1.0])
+    trivial = run_matrix_eigen_agreement(3, 0.0, x0, 0.0, 2000, RandomSource(SEED, 50))
+    rep = run_matrix_eigen_agreement(3, 0.0, x0, 0.5, 20_000, RandomSource(SEED, 51), dt=2.5e-4)
     ok = trivial.passed and rep.passed
     report(
         "C08 matrix-eigen",

@@ -196,6 +196,47 @@ class TestConfigKinds:
         assert run_cli(tmp_path, *argv) == 1
         assert "expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "hard-edge-density", "--set", "N=100", "--set", "eta=1",
+             "--set", "n=10", "--set", 'bins=[0.1,"a"]'],
+            ["experiment", "intertwining", "--set", 'x=[3,2,"a"]', "--set", "t=0.05",
+             "--set", "n=10"],
+            ["simulate", "--set", 'initial=[3,"x"]', "--set", "horizon=0.1",
+             "--set", "save_times=[0.1]"],
+            ["simulate", "--set", "initial=[3,true]", "--set", "horizon=0.1",
+             "--set", "save_times=[0.1]"],
+            ["experiment", "uniform-approx", "--set", "sizes=[4,null]", "--set", "n=10"],
+        ],
+        ids=["string-bin", "string-x", "string-initial", "boolean-initial", "null-size"],
+    )
+    def test_list_entries_must_be_numbers(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, *argv) == 1
+        assert "expected list of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, env, named",
+        [
+            (["experiment", "uniform-approx", "--seed", "-1"], None, "--seed"),
+            (["experiment", "uniform-approx", "--set", "seed=-1"], None, "seed"),
+            (["experiment", "uniform-approx"], "-5", "HARDEDGE_SEED"),
+            (["sample-kernel", "--set", "stream=-1", "--set", "x=[2,1]", "--set", "K=1"], None,
+             "stream"),
+        ],
+        ids=["flag", "config-key", "environment", "stream"],
+    )
+    def test_negative_seed_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, argv, env, named
+    ):
+        monkeypatch.delenv("HARDEDGE_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("HARDEDGE_SEED", env)
+        if argv[0] == "experiment":
+            argv = [*argv, "--set", "sizes=[4]"]
+        assert run_cli(tmp_path, *argv, "--set", "n=10") == 1
+        assert f"config error: {named} must be a nonnegative integer" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_pass_and_exit_zero(self, tmp_path):
@@ -293,6 +334,12 @@ class TestExperimentCommand:
             ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=0"]),
             ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=101"]),
             ("hard-edge-density", ["N=100", "eta=-0.9", "n=300", "bins=[0.1,2]", "min_count=0"]),
+            ("collision-bound", ["sizes=[2.5]", "delta=0.05", "eps=0.1", "t=0.01", "n=10"]),
+            ("uniform-approx", ["sizes=[4,8.5]", "n=10"]),
+            ("coupling-l2", ["omega_xs=[1]", "N_list=[4.5,8]", "T=0.01"]),
+            ("coupling-l2", ["omega_xs=[1]", "N_list=[4,4,8]", "T=0.01"]),
+            ("intertwining", ["x=[3,2,1]", "t=0.05", "n=10", "eta=NaN"]),
+            ("matrix-eigen-agreement", ["N=3", "x0=[3,2,1]", "t=0.05", "n=10", "eta=NaN"]),
         ],
         ids=[
             "equilibrium-n0", "equilibrium-empty-t_grid", "collision-n0", "collision-no-sizes",
@@ -301,7 +348,9 @@ class TestExperimentCommand:
             "collision-dt0", "coupling-negative-T", "coupling-dt0", "uniform-bump-one-entry",
             "uniform-bump-empty-interval", "collision-eps0", "collision-negative-eps",
             "hard-edge-decreasing-bins", "hard-edge-negative-top", "hard-edge-top0",
-            "hard-edge-top-above-N", "hard-edge-eta-near-minus-1",
+            "hard-edge-top-above-N", "hard-edge-eta-near-minus-1", "collision-fractional-size",
+            "uniform-fractional-size", "coupling-fractional-N_list", "coupling-repeated-N_list",
+            "intertwining-nan-eta", "matrix-nan-eta",
         ],
     )
     def test_malformed_inputs_are_typed_errors(self, tmp_path, capsys, name, settings):
@@ -317,8 +366,9 @@ class TestExperimentCommand:
         [
             ("intertwining", ["x=[2,2,1]", "t=0.25", "n=300"], "x[0] = x[1] = 2.0"),
             ("equilibrium", ["N=3", "eta=1", "x0=[2,1,0]", "t_grid=[1]", "n=300"], "x[2] = 0"),
+            ("matrix-eigen-agreement", ["N=3", "x0=[2,2,1]", "t=0.05", "n=50"], "x[0] = x[1] = 2.0"),
         ],
-        ids=["intertwining-tie", "equilibrium-zero"],
+        ids=["intertwining-tie", "equilibrium-zero", "matrix-tie"],
     )
     def test_tied_or_zero_start_is_named_up_front(
         self, tmp_path, capsys, monkeypatch, name, settings, named
@@ -334,8 +384,13 @@ class TestExperimentCommand:
                 ["N=2", "eta=1", "x0=[3,2,1]", "t_grid=[0.1]", "n=50", "n_perm=200"],
                 "x0 must have N=2 coordinates, got 3",
             ),
+            (
+                "matrix-eigen-agreement",
+                ["N=2", "x0=[3,2,1]", "t=0.05", "n=50"],
+                "x0 must have N=2 coordinates, got 3",
+            ),
         ],
-        ids=["intertwining-one-coordinate", "equilibrium-x0-not-N"],
+        ids=["intertwining-one-coordinate", "equilibrium-x0-not-N", "matrix-x0-not-N"],
     )
     def test_wrong_size_start_is_named_up_front(
         self, tmp_path, capsys, monkeypatch, name, settings, named

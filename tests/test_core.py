@@ -30,7 +30,6 @@ class TestOrderedConfig:
     def test_accepts_ordered(self):
         c = OrderedConfig([3.0, 2.0, 2.0, 0.0])
         assert c.n == 4
-        assert not c.is_strictly_interior()
 
     @pytest.mark.parametrize(
         "values, named",
@@ -80,8 +79,9 @@ class TestOmegaPlusPoint:
 
 class TestSdeParams:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            SdeParams(gap_safety=1.5)
+        for eta in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="eta must be finite"):
+                SdeParams(eta=eta)
 
 
 class TestTrajectory:

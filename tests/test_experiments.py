@@ -160,7 +160,7 @@ class TestDtCheck:
 
     def test_matrix_dt_half_attached(self):
         rep = run_matrix_eigen_agreement(
-            3, 0.0, np.diag([3.0, 2.0, 1.0]), 0.02, 400, RandomSource(63),
+            3, 0.0, OrderedConfig([3.0, 2.0, 1.0]), 0.02, 400, RandomSource(63),
             dt=2e-3, dt_check=True,
         )
         self.check_attached(rep)
@@ -189,11 +189,14 @@ class TestCouplingL2:
         # only the entrance ramps differ: squares at the dt/(2N) scale
         assert rep.statistics["sup_l2_N4_vs_N8"] < 1e-6
 
-    def test_identical_sizes_share_one_path(self):
-        # shared noise at equal size is the same path: discrepancy exactly 0
+    @pytest.mark.parametrize(
+        "sizes", [[8, 8], [4, 4, 8], [4.5, 8]], ids=["repeated", "repeated-inside", "fractional"]
+    )
+    def test_repeated_or_fractional_sizes_rejected(self, sizes):
+        # a repeated size gives a zero discrepancy and an infinite ratio
         om = OmegaPlusPoint([1.0], gamma=1.0)
-        rep = run_coupling_l2(om, [8, 8], 0.1, 1e-3, RandomSource(31))
-        assert rep.statistics["sup_l2_N8_vs_N8"] == 0.0
+        with pytest.raises(DomainError, match="N_list"):
+            run_coupling_l2(om, sizes, 0.1, 1e-3, RandomSource(31))
 
     def test_decreasing_sizes_rejected(self):
         om = OmegaPlusPoint([1.0], gamma=1.0)
@@ -270,17 +273,17 @@ class TestHardEdge:
 class TestMatrixEigenAgreement:
     def test_t_zero_trivial(self):
         rep = run_matrix_eigen_agreement(
-            3, 0.0, np.diag([3.0, 2.0, 1.0]), 0.0, 500, RandomSource(37)
+            3, 0.0, OrderedConfig([3.0, 2.0, 1.0]), 0.0, 500, RandomSource(37)
         )
         assert rep.statistics["min_ks_pvalue"] == 1.0
         assert rep.passed
 
     def test_short_time_agreement(self):
         rep = run_matrix_eigen_agreement(
-            2, 0.0, np.diag([2.0, 1.0]), 0.1, 2500, RandomSource(38), dt=1e-3
+            2, 0.0, OrderedConfig([2.0, 1.0]), 0.1, 2500, RandomSource(38), dt=1e-3
         )
         assert rep.passed, rep.summary()
 
     def test_interior_precondition(self):
         with pytest.raises(DomainError):
-            run_matrix_eigen_agreement(2, 0.0, np.eye(2), 0.1, 100, RandomSource(39))
+            run_matrix_eigen_agreement(2, 0.0, OrderedConfig([1.0, 1.0]), 0.1, 100, RandomSource(39))
