@@ -45,7 +45,7 @@ def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray
     A smallest eigenvalue that comes out <= 0, which happens near eta = -1,
     raises ConvergenceFailure.
     """
-    if eta <= -1:
+    if not eta > -1:
         raise ParameterError(f"need eta > -1, got {eta}")
     if N < 1:
         raise DomainError("need N >= 1")

@@ -708,9 +708,8 @@ def run_matrix_eigen_agreement(
     def collect(sub_rng, total, dt_step):
         def matrix_worker(block_rng, count):
             h0s = np.tile(h0, (count, 1, 1))
-            h, repairs = evolve_matrix_ensemble(h0s, params, t, dt_step, block_rng)
-            w = np.linalg.eigvalsh(h)[:, ::-1]
-            return np.clip(w, 0.0, None), repairs
+            h = evolve_matrix_ensemble(h0s, params, t, dt_step, block_rng)
+            return np.linalg.eigvalsh(h)[:, ::-1]
 
         def eigen_worker(block_rng, count):
             # matched plain-Euler discretisation on both sides, so the
@@ -719,22 +718,21 @@ def run_matrix_eigen_agreement(
                 np.tile(x0.values, (count, 1)), params, t, dt_step, block_rng, "eigen"
             )
 
-        a, repairs = _run_blocks(total, matrix_worker, sub_rng.child(0), threads)
+        a = _run_blocks(total, matrix_worker, sub_rng.child(0), threads)
         b, fail = _run_blocks(total, eigen_worker, sub_rng.child(1), threads)
-        return a, b[~fail], int(fail.sum()), int(repairs.sum())
+        return a, b[~fail], int(fail.sum())
 
-    a, b, discarded, repairs = collect(rng.child(1), n, dt)
+    a, b, discarded = collect(rng.child(1), n, dt)
     ks = ks_per_coordinate(a, b)
     bonferroni = ALPHA / N
     statistics = {
         **{f"ks_pvalue_coord{k + 1}": float(p) for k, p in enumerate(ks)},
         "min_ks_pvalue": float(ks.min()),
         "discarded_replicas": float(discarded),
-        "psd_repairs": float(repairs),
     }
     thresholds = {"min_ks_pvalue": {"op": ">", "value": bonferroni}}
     if dt_check:
-        a2, b2, _, _ = collect(rng.child(2), min(n, 5000), dt / 2.0)
+        a2, b2, _ = collect(rng.child(2), min(n, 5000), dt / 2.0)
         stat, _, sd = energy_permutation_test(a, b, _MATRIX_N_PERM, rng.child(3))
         stat2, _, sd2 = energy_permutation_test(a2, b2, _MATRIX_N_PERM, rng.child(4))
         statistics["energy_statistic"] = stat

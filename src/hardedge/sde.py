@@ -11,9 +11,9 @@ re-integrated as two halves whose increments split the rejected one at a
 Brownian-bridge midpoint (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997), so
 the Brownian path is preserved and paths driven by shared increments stay
 coupled.  The log-coordinate integrator removes the positivity failure mode
-and is the default near the hard edge.  A matrix-valued integrator and the
-action of the infinitesimal generator complete the set of finite-N
-diagnostics.
+and is the default near the hard edge.  A matrix-valued integrator, whose
+congruence step keeps every state positive semidefinite, and the action of
+the infinitesimal generator complete the set of finite-N diagnostics.
 """
 
 from __future__ import annotations
@@ -261,99 +261,42 @@ def simulate(
 # matrix-valued dynamics
 # ---------------------------------------------------------------------------
 
-# Relative floor on the pivot product in the positive-definiteness certificate.
-_PD_CERT_TAU = 1e-8
+def _matrix_step(h: np.ndarray, params: SdeParams, dt: float, rng) -> np.ndarray:
+    """One step of the Hermitian matrix SDE for an (n, N, N) stack, as a congruence:
 
+        h <- E (h + dt/2 I) E^H,  E = I + dG/2 - (eta+N)/4 dt I,  dG = sqrt(2 dt) G.
 
-def _certified_pd(mats: np.ndarray) -> np.ndarray:
-    """Rows of an (n, N, N) Hermitian stack certified positive definite.
+    With c = (eta+N)/4 dt and h' = h + dt/2 I, the step expands to
 
-    A batched LDL^H pass, vectorised over rows and reading only the lower
-    triangle (as ``eigvalsh`` does), gives the pivots d_k.  A row is
-    certified iff its trace is > 0, every pivot is > 0 and
-    prod(d_k) > TAU tr^N, with TAU = ``_PD_CERT_TAU``.
+        (1-c)^2 h' + (1-c) (dG h' + h' dG^H)/2 + dG h' dG^H/4,
 
-    Why this is sound: positive pivots make the computed factors the exact
-    LDL^H factorisation of a positive definite h + E, with backward error
-    ||E|| <= c N^2 u tr (u the unit roundoff).  For h + E, prod(d_k) = det
-    and lambda_max <= tr, so
-
-        lambda_min >= det / lambda_max^(N-1) >= det / tr^(N-1) > TAU tr >= TAU ||h||_2.
-
-    That bound is about 1e7 times the backward error of both the pivots and
-    ``eigvalsh``, so ``eigvalsh`` never finds a negative eigenvalue in a
-    certified row.  The product is taken as prod(d_k / tr), which cannot
-    overflow; an underflow only withholds the certificate.
-    """
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
-    ok = tr > 0.0
-    ratio = np.ones_like(tr)
-    s = mats
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(mats.shape[-1]):  # s: the Schur complement left by the pivots so far
-            d = s[:, 0, 0].real
-            ok &= d > 0.0
-            ratio *= d / tr
-            col = s[:, 1:, 0]
-            s = s[:, 1:, 1:] - col[:, :, None] * (np.conjugate(col) / d[:, None])[:, None, :]
-    return ok & (ratio > _PD_CERT_TAU)
-
-
-def _project_psd_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clip negative eigenvalues to zero where needed.
-
-    Returns the projected stack and the per-row mask of repaired rows (its
-    sum is the repair count).  Rows the LDL^H certificate (``_certified_pd``)
-    proves positive definite are kept as they are; the rest are screened by
-    ``eigvalsh``, and a row whose least eigenvalue is negative is rebuilt
-    from its ``eigh`` decomposition with the eigenvalues clipped at zero.
-    """
-    repaired = np.zeros(mats.shape[0], dtype=bool)
-    rest = np.nonzero(~_certified_pd(mats))[0]
-    if rest.size:
-        repaired[rest] = np.linalg.eigvalsh(mats[rest])[:, 0] < 0.0
-    idx = np.nonzero(repaired)[0]
-    if not idx.size:
-        return mats, repaired
-    wb, vb = np.linalg.eigh(mats[idx])
-    wb = np.clip(wb, 0.0, None)
-    out = mats.copy()
-    out[idx] = np.einsum("nij,nj,nkj->nik", vb, wb, np.conjugate(vb))
-    return out, repaired
-
-
-def _matrix_euler(h: np.ndarray, params: SdeParams, dt: float, rng) -> np.ndarray:
-    """Unprojected Euler proposal of the Hermitian matrix SDE for an (n, N, N) stack:
-
-        h + (dG h + h dG^H)/2 + [-(eta+N)/2 h + (1+tr h)/2 I] dt,  dG = sqrt(2 dt) G.
-
-    With A = dG h, h dG^H = A^H for Hermitian h, so one matmul serves.  A + A^H
-    is formed before h is added, so an exactly Hermitian h gives an exactly
-    Hermitian proposal.
+    whose conditional mean (1-c)^2 h' + dt/2 tr(h') I is the Euler drift
+    h + [-(eta+N)/2 h + (1+tr h)/2 I] dt up to O(dt^2); the Ito term
+    dG h' dG^H/4 supplies the tr(h)/2 dt I.  A congruence of a positive
+    semidefinite h' stays positive semidefinite for every draw, so the step
+    needs no projection.  The product is averaged with its conjugate
+    transpose, so every state is exactly Hermitian.
     """
     n = h.shape[-1]
-    a = rng.complex_normal(h.shape) @ h
-    a *= math.sqrt(2.0 * dt) / 2.0
-    tr = np.trace(h, axis1=-2, axis2=-1).real
-    new = a + np.conjugate(np.swapaxes(a, -1, -2))
-    new += h * (1.0 - (params.eta + n) / 2.0 * dt)
-    diag = np.einsum("...ii->...i", new)  # a writable view of the diagonals
-    diag += (0.5 * (1.0 + tr) * dt)[..., None]
+    e = rng.complex_normal(h.shape)
+    e *= math.sqrt(2.0 * dt) / 2.0
+    diag = np.einsum("...ii->...i", e)  # a writable view of the diagonals
+    diag += 1.0 - (params.eta + n) / 4.0 * dt
+    new = e @ ((h + (dt / 2.0) * np.eye(n)) @ np.conjugate(np.swapaxes(e, -1, -2)))
+    new += np.conjugate(np.swapaxes(new, -1, -2))
+    new *= 0.5
     return new
 
 
 def evolve_matrix_ensemble(h0: np.ndarray, params: SdeParams, horizon: float, dt: float, rng):
-    """Evolve a stacked batch of Hermitian states to the horizon.
-
-    Returns ``(h, repairs)``: ``repairs[i]`` counts the steps at which row i
-    was projected back onto the PSD cone.
+    """Evolve a stacked batch of Hermitian positive semidefinite states to the
+    horizon on a dt grid.  Each step draws one complex Gaussian per entry and
+    leaves every state exactly Hermitian and positive semidefinite.
     """
     h = np.array(h0, dtype=complex)
-    repairs = np.zeros(h.shape[0], dtype=int)
     for step in _time_steps(horizon, dt):
-        h, repaired = _project_psd_batch(_matrix_euler(h, params, step, rng))
-        repairs += repaired
-    return h, repairs
+        h = _matrix_step(h, params, step, rng)
+    return h
 
 
 # ---------------------------------------------------------------------------

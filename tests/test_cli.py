@@ -127,6 +127,15 @@ class TestSamplers:
         assert "eta=-0.9, N=2" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()
 
+    def test_nan_eta_is_named(self, tmp_path, capsys):
+        code = run_cli(
+            tmp_path, "sample-equilibrium", "--seed", "0",
+            "--set", "N=3", "--set", "eta=NaN", "--set", "n=5",
+        )
+        assert code == 2
+        assert "need eta > -1, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
     @pytest.mark.parametrize("n", [0, -1])
     @pytest.mark.parametrize(
         "command, settings",

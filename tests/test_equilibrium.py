@@ -66,6 +66,13 @@ class TestInverseLaguerre:
         stat = kstest(vals, invgamma(2).cdf)
         assert stat.pvalue > 0.01
 
+    @pytest.mark.parametrize("top", [None, 1], ids=["dsterf", "dstebz"])
+    @pytest.mark.parametrize("eta", [-1.0, np.nan])
+    def test_parameter_guard_names_eta(self, eta, top):
+        # a NaN eta fails the eta > -1 check, not the solver's finiteness check
+        with pytest.raises(ParameterError, match=r"need eta > -1, got"):
+            inverse_laguerre_samples(3, eta, 5, RandomSource(8), top=top)
+
     def test_sorted_decreasing(self):
         s = inverse_laguerre_samples(5, 0.5, 1, RandomSource(8))[0]
         assert np.all(np.diff(s) < 0)

@@ -9,9 +9,7 @@ from hardedge.errors import DomainError, StepFailure
 from hardedge.rng import RandomSource, ZeroNoise
 from hardedge.sde import (
     SmoothFunction,
-    _certified_pd,
-    _matrix_euler,
-    _project_psd_batch,
+    _matrix_step,
     eigen_drift,
     evolve_ensemble,
     evolve_matrix_ensemble,
@@ -460,135 +458,134 @@ class TestEngineAgainstReference:
             np.testing.assert_allclose(total, calls[start][1], rtol=0, atol=1e-15)
 
 
-# lambda_min / lambda_max of the stacks the PSD screen is checked on
-PSD_RATIOS = (0.0, 1e-18, -1e-18, 1e-12, -1e-12, 1e-9, 1e-3)
+class ScriptedComplexNoise:
+    """Returns ``draws[call]`` as each call's complex normals."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def complex_normal(self, size):
+        draw = self.draws.pop(0)
+        assert draw.shape == tuple(size)
+        return draw
 
 
-def project_by_eigvalsh(mats):
-    """The PSD repair with every row screened by eigvalsh: the projected
-    stack and the mask of repaired rows."""
-    bad = np.linalg.eigvalsh(mats)[:, 0] < 0.0
-    out = mats.copy()
-    if bad.any():
-        w, v = np.linalg.eigh(mats[bad])
-        out[bad] = np.einsum("nij,nj,nkj->nik", v, np.clip(w, 0.0, None), np.conjugate(v))
-    return out, bad
+def step_mean(h, params, dt):
+    """The exact conditional mean of one matrix step from h.
 
-
-def hermitian_stack(n, ratios, rng):
-    """Hermitian n x n matrices, four per ratio, with spectrum in [ratio, 1]
-    times a scale from 1e-6 to 1e6 (ratio = lambda_min / lambda_max), rotated by
-    a random unitary; then random positive semidefinite and indefinite rows."""
-    rows = []
-    for ratio in ratios:
-        for scale in (1e-6, 1.0, 1e3, 1e6):
-            lam = np.concatenate([[1.0], rng.uniform(ratio, 1.0, max(n - 2, 0)), [ratio]])[-n:]
-            q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-            rows.append(scale * (q * lam) @ q.conj().T)
-    for _ in range(20):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        rows.append(a @ a.conj().T / n)
-        rows.append((a + a.conj().T) / 2)
-    h = np.array(rows)
-    return (h + np.conjugate(np.swapaxes(h, -1, -2))) / 2
-
-
-def two_matmul_step(h, params, dt, rng):
-    """The matrix Euler step written out with both matmuls, unprojected."""
+    The step is a quadratic polynomial in the real and imaginary parts of G,
+    which are independent N(0, 1/2).  For such a polynomial f,
+    E f = f(0) + sum_k [(f(s e_k) + f(-s e_k))/2 - f(0)] with s^2 = 1/2, so
+    one step of a stack holding 0 and every +-s e_k gives the mean exactly.
+    """
     n = h.shape[-1]
-    dg = rng.complex_normal(h.shape) * np.sqrt(2.0 * dt)
-    tr = np.trace(h, axis1=-2, axis2=-1).real
-    drift = -(params.eta + n) / 2.0 * h + 0.5 * (1.0 + tr)[:, None, None] * np.eye(n)
-    return h + 0.5 * (dg @ h + h @ np.conjugate(np.swapaxes(dg, -1, -2))) + drift * dt
+    s = math.sqrt(0.5)
+    points = [np.zeros((n, n), complex)]
+    for i in range(n):
+        for j in range(n):
+            for unit in (1.0, 1j):
+                for sign in (s, -s):
+                    g = np.zeros((n, n), complex)
+                    g[i, j] = sign * unit
+                    points.append(g)
+    out = _matrix_step(np.tile(h, (len(points), 1, 1)), params, dt, ScriptedComplexNoise(np.array(points)))
+    return out[0] + np.sum(out[1:] - out[0], axis=0) / 2.0
+
+
+def euler_drift_step(h, params, dt):
+    """The Euler map of the matrix SDE's drift: h + [-(eta+N)/2 h + (1+tr h)/2 I] dt."""
+    n = h.shape[-1]
+    tr = np.trace(h).real
+    return h + (-(params.eta + n) / 2.0 * h + (1.0 + tr) / 2.0 * np.eye(n)) * dt
+
+
+def random_psd(n, rng):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a @ a.conj().T / n
+
+
+def is_hermitian(h):
+    return np.array_equal(h, np.conjugate(np.swapaxes(h, -1, -2)))
 
 
 class TestMatrixStep:
     def test_scalar_drift_reduction(self):
-        out, _ = evolve_matrix_ensemble(np.ones((1, 1, 1), complex), PLAIN, 0.1, 0.1, ZeroNoise())
-        assert out[0, 0, 0].real == pytest.approx(1.05)
+        # N = 1: E[|e|^2] h' = ((1 - c)^2 + dt/2)(h + dt/2) with c = (eta+1)/4 dt
+        h, dt = np.ones((1, 1), complex), 0.1
+        mean = step_mean(h, PLAIN, dt)
+        assert mean[0, 0] == pytest.approx((0.975**2 + 0.05) * 1.05, rel=1e-14)
+        assert mean[0, 0].real == pytest.approx(1.05, abs=dt**2)  # the Euler value
 
     def test_drift_at_zero(self):
-        h = np.zeros((1, 3, 3), complex)
-        out, _ = evolve_matrix_ensemble(h, SdeParams(eta=0.7), 0.01, 0.01, ZeroNoise())
-        np.testing.assert_allclose(out[0], 0.005 * np.eye(3), atol=1e-15)
+        # from h = 0 the mean is dt/2 I, the Euler value, up to O(dt^2)
+        dt, params = 0.01, SdeParams(eta=0.7)
+        c = (0.7 + 3) / 4 * dt
+        mean = step_mean(np.zeros((3, 3), complex), params, dt)
+        np.testing.assert_allclose(mean, ((1 - c) ** 2 + 3 * dt / 2) * dt / 2 * np.eye(3), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(mean, 0.005 * np.eye(3), rtol=0, atol=dt**2)
 
     def test_trace_drift_linearity(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = a @ a.conj().T / 4
+        h = random_psd(4, np.random.default_rng(1))
         eta, dt = 1.3, 1e-5
-        out, _ = evolve_matrix_ensemble(h[None], SdeParams(eta=eta), dt, dt, ZeroNoise())
         tr0 = np.trace(h).real
-        tr1 = np.trace(out[0]).real
+        tr1 = np.trace(step_mean(h, SdeParams(eta=eta), dt)).real
         want = tr0 + (-(eta + 4) / 2 * tr0 + 4 / 2 * (1 + tr0)) * dt
-        assert tr1 == pytest.approx(want, rel=1e-10)
+        assert tr1 == pytest.approx(want, rel=1e-8)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_one_matmul_agrees_with_two(self, n):
+    def test_step_mean_is_the_euler_drift_to_second_order(self, n):
         params = SdeParams(eta=0.7)
-        h = hermitian_stack(n, (1e-3,), np.random.default_rng(n))[:8]
-        got = _matrix_euler(h, params, 1e-3, RandomSource(12, n))
-        want = two_matmul_step(h, params, 1e-3, RandomSource(12, n))
+        h = random_psd(n, np.random.default_rng(n))
+        scaled = []
+        for dt in (1e-2, 1e-3, 1e-4):
+            c = (params.eta + n) / 4 * dt
+            shifted = h + dt / 2 * np.eye(n)
+            mean = step_mean(h, params, dt)
+            want = (1 - c) ** 2 * shifted + dt / 2 * np.trace(shifted) * np.eye(n)
+            np.testing.assert_allclose(mean, want, rtol=0, atol=1e-14 * np.abs(h).max())
+            scaled.append(np.abs(mean - euler_drift_step(h, params, dt)).max() / dt**2)
+        # the remainder is O(dt^2), and not smaller: its scaled size settles
+        assert scaled[1] == pytest.approx(scaled[2], rel=0.05)
+        assert scaled[0] == pytest.approx(scaled[2], rel=0.5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_congruence_matches_its_expansion(self, n):
+        params, dt = SdeParams(eta=0.7), 1e-3
+        gen = np.random.default_rng(n)
+        h = np.array([random_psd(n, gen) for _ in range(8)])
+        got = _matrix_step(h, params, dt, RandomSource(12, n))
+        dg = RandomSource(12, n).complex_normal(h.shape) * math.sqrt(2 * dt)
+        dgh = np.conjugate(np.swapaxes(dg, -1, -2))
+        c = (params.eta + n) / 4 * dt
+        shifted = h + dt / 2 * np.eye(n)
+        want = (1 - c) ** 2 * shifted + (1 - c) * (dg @ shifted + shifted @ dgh) / 2 + dg @ shifted @ dgh / 4
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(h).max())
 
     def test_exactly_hermitian_without_repairs(self):
         h0 = np.tile(np.diag([3.0, 2.0, 1.0]).astype(complex), (64, 1, 1))
-        h, repairs = evolve_matrix_ensemble(h0, PLAIN, 0.05, 1e-3, RandomSource(14))
-        assert repairs.shape == (64,) and not repairs.any()
-        np.testing.assert_array_equal(h, np.conjugate(np.swapaxes(h, -1, -2)))
-        one, _ = evolve_matrix_ensemble(h, PLAIN, 1e-3, 1e-3, RandomSource(15))
-        np.testing.assert_array_equal(one, np.conjugate(np.swapaxes(one, -1, -2)))
+        h = evolve_matrix_ensemble(h0, PLAIN, 0.05, 1e-3, RandomSource(14))
+        assert is_hermitian(h)
+        assert is_hermitian(evolve_matrix_ensemble(h, PLAIN, 1e-3, 1e-3, RandomSource(15)))
 
-    def test_repairs_are_counted_per_row(self):
-        h0 = np.array([np.diag([10.0, 0.0]), np.diag([2.0, 1.0])], dtype=complex)
-        h, repairs = evolve_matrix_ensemble(h0, PLAIN, 0.05, 1e-3, RandomSource(10))
-        # replay the same steps and count the repairs of each row by hand
-        state, want, rng = h0, np.zeros(2, dtype=int), RandomSource(10)
-        for _ in range(50):
-            state = _matrix_euler(state, PLAIN, 1e-3, rng)
-            state, bad = project_by_eigvalsh(state)
-            want += bad
-        assert repairs[0] > 0 and repairs[1] == 0
-        np.testing.assert_array_equal(repairs, want)
-        np.testing.assert_array_equal(h, state)
+    def test_psd_for_huge_draws(self):
+        # |G| ~ 1e3 at dt = 1e-3 makes dG h dwarf h: an Euler step from these
+        # states is indefinite on every row, while every congruence state is
+        # positive definite, its least eigenvalue ~1e-9 of its largest or more
+        gen, n = np.random.default_rng(3), 64
+        h = np.array([np.diag([10.0, 0.0, 0.0])] + [random_psd(3, gen) for _ in range(n - 1)], complex)
+        draws = [1e3 * (gen.normal(size=h.shape) + 1j * gen.normal(size=h.shape)) for _ in range(5)]
+        rng = ScriptedComplexNoise(*draws)
+        for _ in draws:
+            h = evolve_matrix_ensemble(h, PLAIN, 1e-3, 1e-3, rng)
+            assert is_hermitian(h)
+            assert np.linalg.eigvalsh(h)[:, 0].min() > 0.0
 
-    @pytest.mark.parametrize("upper", ["hermitian", "noise"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_psd_screen_matches_eigvalsh(self, n, upper):
-        rng = np.random.default_rng(n)
-        h = hermitian_stack(n, PSD_RATIOS, rng)
-        if upper == "noise":  # eigvalsh reads the lower triangle only; so must the screen
-            h = np.tril(h) + np.triu(rng.normal(size=h.shape), 1)
-        out, repaired = _project_psd_batch(h)
-        want, want_repaired = project_by_eigvalsh(h)
-        np.testing.assert_array_equal(out, want)
-        np.testing.assert_array_equal(repaired, want_repaired)
-        # both paths run: some rows are certified and some are repaired
-        cert = _certified_pd(h)
-        assert cert.any() and repaired.any()
-        assert np.linalg.eigvalsh(h[cert])[:, 0].min() > 0.0
-
-    def test_psd_certificate_needs_a_margin(self):
-        # prod(d) / tr^3 is 1e-9 / 8 < 1e-8 here, and 1e-6 / 8 > 1e-8 below
-        h = np.diag([1.0, 1.0, 1e-9]).astype(complex)[None]
-        assert not _certified_pd(h)[0]
-        assert _certified_pd(np.diag([1.0, 1.0, 1e-6]).astype(complex)[None])[0]
-
-    def test_psd_screen_returns_a_clean_stack_as_is(self):
-        h = hermitian_stack(3, (1e-3,), np.random.default_rng(0))[:4]
-        out, repaired = _project_psd_batch(h)
-        assert out is h and not repaired.any()
-
-    def test_projection_keeps_psd(self):
-        state = np.diag([10.0, 0.0]).astype(complex)[None]
-        rng, repairs = RandomSource(10), 0
-        for _ in range(50):
-            state, repaired = evolve_matrix_ensemble(state, PLAIN, 1e-3, 1e-3, rng)
-            repairs += repaired[0]
-            np.testing.assert_allclose(state, np.conj(np.swapaxes(state, -1, -2)), atol=1e-12)
-            w = np.linalg.eigvalsh(state)
-            assert w.min() >= -1e-14
-        assert repairs > 0
+    def test_least_eigenvalue_stays_positive_from_a_zero_start(self):
+        h = np.tile(np.diag([2.0, 1.0, 0.0]).astype(complex), (4096, 1, 1))
+        rng, dt = RandomSource(10), 5e-4
+        for _ in range(500):  # t = 0.25
+            h = evolve_matrix_ensemble(h, PLAIN, dt, dt, rng)
+            assert np.linalg.eigvalsh(h)[:, 0].min() > 0.0
 
 
 class TestGenerator:
