@@ -208,8 +208,9 @@ def _sample_equilibrium(cfg, rng):
 
 def _kernel_table(cfg, rng):
     grid = np.asarray([float(g) for g in cfg["grid"]])
-    if grid.size < 1 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ConfigError("grid must be positive and increasing")
+    ok = grid.size and np.isfinite(grid).all() and (grid > 0).all() and (np.diff(grid) > 0).all()
+    if not ok:
+        raise ConfigError(f"grid must be finite, positive and increasing, got {grid.tolist()}")
     rows = [(x, y, inverse_bessel_kernel(cfg["eta"], x, y)) for x in grid for y in grid]
     return "kernel.csv", ["x", "y", "value"], rows
 
@@ -332,7 +333,6 @@ _EXPERIMENTS = {
             "n": ("int", REQUIRED),
             "dt": ("float", 5e-4),
             "n_perm": ("int", 500),
-            "dt_check": ("bool", False),
         },
         run_intertwining,
         {"x": (OrderedConfig, ("x",))},
@@ -359,7 +359,6 @@ _EXPERIMENTS = {
             "n": ("int", REQUIRED),
             "dt": ("float", 1e-3),
             "n_perm": ("int", 300),
-            "dt_check": ("bool", False),
         },
         run_equilibrium,
         {"x0": (lambda x0: None if x0 is None else OrderedConfig(x0), ("x0",))},
@@ -388,7 +387,6 @@ _EXPERIMENTS = {
             "n": ("int", REQUIRED),
             "eta": ("float", 0.0),
             "dt": ("float", 1e-3),
-            "dt_check": ("bool", False),
         },
         run_collision_bound,
         {"x_family": _FAMILY},
@@ -414,7 +412,6 @@ _EXPERIMENTS = {
             "t": ("float", REQUIRED),
             "n": ("int", REQUIRED),
             "dt": ("float", 1e-3),
-            "dt_check": ("bool", False),
         },
         run_matrix_eigen_agreement,
         {"x0": (OrderedConfig, ("x0",))},

@@ -99,6 +99,8 @@ class OmegaPlusPoint:
     def __init__(self, xs, gamma):
         arr = _as_readonly(np.atleast_1d(xs))
         gamma = float(gamma)
+        if not (np.all(np.isfinite(arr)) and np.isfinite(gamma)):
+            raise DomainError(f"xs and gamma must be finite, got xs={arr.tolist()}, gamma={gamma}")
         if arr.size and (np.any(np.diff(arr) > 0) or arr[-1] < 0):
             raise DomainError("boundary sequence must be decreasing and nonnegative")
         total = float(arr.sum())

@@ -42,7 +42,6 @@ __all__ = [
 
 ALPHA = 0.01
 _BLOCK = 4096
-_MATRIX_N_PERM = 300  # permutations of the matrix experiment's dt-check energy tests
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +149,6 @@ def _monotone_margin(values, ses) -> float:
     )
 
 
-def _attach_dt_half(statistics: dict, thresholds: dict, name: str, value, value_half, slack):
-    """Record the dt/2 rerun of a statistic and require it to move by at most
-    three times ``slack`` from the value at the full dt."""
-    statistics[name] = value_half
-    statistics["dt_stability_margin"] = abs(value_half - value) - 3.0 * slack
-    thresholds["dt_stability_margin"] = {"op": "<=", "value": 0.0}
-
-
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------
@@ -188,7 +179,6 @@ def run_intertwining(
     eta_corner_side: float | None = None,
     n_perm: int = 500,
     threads: int = 1,
-    dt_check: bool = False,
 ) -> ExperimentReport:
     """Corner-then-evolve versus evolve-then-corner at a common time.
 
@@ -206,20 +196,16 @@ def run_intertwining(
     par_a = SdeParams(eta=eta, rescaled=False)
     par_b = SdeParams(eta=eta_b, rescaled=False)
 
-    def collect(sub_rng, total, dt_step):
-        def worker(block_rng, count):
-            top, fail_a = evolve_ensemble(
-                np.tile(x.values, (count, 1)), par_a, t, dt_step, block_rng.child(0)
-            )
-            a = corner_of_each(top, block_rng.child(1))
-            b0 = corner_samples(x, count, block_rng.child(2))
-            b, fail_b = evolve_ensemble(b0, par_b, t, dt_step, block_rng.child(3))
-            return a, b, fail_a, fail_b
+    def worker(block_rng, count):
+        a0 = np.tile(x.values, (count, 1))
+        top, fail_a = evolve_ensemble(a0, par_a, t, dt, block_rng.child(0))
+        a = corner_of_each(top, block_rng.child(1))
+        b0 = corner_samples(x, count, block_rng.child(2))
+        b, fail_b = evolve_ensemble(b0, par_b, t, dt, block_rng.child(3))
+        return a, b, fail_a, fail_b
 
-        a, b, fail_a, fail_b = _run_blocks(total, worker, sub_rng, threads)
-        return a[~fail_a], b[~fail_b], int(fail_a.sum() + fail_b.sum())
-
-    a, b, discarded = collect(rng.child(1), n, dt)
+    a, b, fail_a, fail_b = _run_blocks(n, worker, rng.child(1), threads)
+    a, b = a[~fail_a], b[~fail_b]
     stat, pvalue, null_sd = energy_permutation_test(a, b, n_perm, rng.child(2))
     ks = ks_per_coordinate(a[: min(len(a), len(b))], b[: min(len(a), len(b))])
 
@@ -228,15 +214,8 @@ def run_intertwining(
         "energy_pvalue": pvalue,
         "permutation_null_sd": null_sd,
         "min_ks_pvalue": float(ks.min()),
-        "discarded_replicas": float(discarded),
+        "discarded_replicas": float(fail_a.sum() + fail_b.sum()),
     }
-    thresholds = {"energy_pvalue": {"op": ">", "value": ALPHA}}
-    if dt_check:
-        a2, b2, _ = collect(rng.child(3), min(n, 5000), dt / 2.0)
-        stat2, _, null_sd2 = energy_permutation_test(a2, b2, n_perm, rng.child(4))
-        _attach_dt_half(
-            statistics, thresholds, "energy_statistic_dt_half", stat, stat2, null_sd + null_sd2
-        )
     return ExperimentReport(
         name="intertwining",
         params={
@@ -250,7 +229,7 @@ def run_intertwining(
             "levels": [n_top, n_top - 1],
         },
         statistics=statistics,
-        thresholds=thresholds,
+        thresholds={"energy_pvalue": {"op": ">", "value": ALPHA}},
         seeds=_seed_tuple(rng),
     )
 
@@ -323,7 +302,6 @@ def run_equilibrium(
     dt: float = 1e-3,
     n_perm: int = 300,
     threads: int = 1,
-    dt_check: bool = False,
 ) -> ExperimentReport:
     """Convergence of the N-particle law to the inverse Laguerre ensemble.
 
@@ -343,26 +321,22 @@ def run_equilibrium(
         x0.require_interior()
     params = SdeParams(eta=eta, rescaled=False)
 
-    def collect(sub_rng, total, dt_step):
-        """Surviving replicas' states at every grid time, shape (kept, T, N),
-        and the number discarded."""
-        def worker(block_rng, count):
-            if x0 is None:
-                state = inverse_laguerre_samples(N, eta, count, block_rng.child(999))
-            else:
-                state = np.tile(x0.values, (count, 1))
-            failed = np.zeros(count, bool)
-            path = np.empty((count, len(t_grid), state.shape[1]))
-            for k, span in enumerate(np.diff(t_grid, prepend=0.0)):
-                state, f = evolve_ensemble(state, params, span, dt_step, block_rng)
-                failed |= f
-                path[:, k] = state
-            return path, failed
+    def worker(block_rng, count):
+        """States at every grid time, shape (count, T, N), and which failed."""
+        if x0 is None:
+            state = inverse_laguerre_samples(N, eta, count, block_rng.child(999))
+        else:
+            state = np.tile(x0.values, (count, 1))
+        failed = np.zeros(count, bool)
+        path = np.empty((count, len(t_grid), state.shape[1]))
+        for k, span in enumerate(np.diff(t_grid, prepend=0.0)):
+            state, f = evolve_ensemble(state, params, span, dt, block_rng)
+            failed |= f
+            path[:, k] = state
+        return path, failed
 
-        paths, failed = _run_blocks(total, worker, sub_rng, threads)
-        return paths[~failed], int(failed.sum())
-
-    paths, discarded = collect(rng.child(1), n, dt)
+    paths, failed = _run_blocks(n, worker, rng.child(1), threads)
+    paths = paths[~failed]
     stats_t, ps_t, sds_t = [], [], []
     for k in range(len(t_grid)):
         ref = inverse_laguerre_samples(N, eta, n, rng.child(100 + k))
@@ -378,7 +352,7 @@ def run_equilibrium(
         **{f"energy_pvalue_t{t:g}": p for t, p in zip(t_grid, ps_t)},
         "final_pvalue": ps_t[-1],
         "monotone_margin": _monotone_margin(stats_t, sds_t),
-        "discarded_replicas": float(discarded),
+        "discarded_replicas": float(failed.sum()),
     }
     thresholds = {
         "final_pvalue": {"op": ">", "value": ALPHA},
@@ -392,13 +366,6 @@ def run_equilibrium(
         ks = kstest(final, invgamma(eta + 1.0).cdf)
         statistics["final_ks_exact_pvalue"] = float(ks.pvalue)
         thresholds["final_ks_exact_pvalue"] = {"op": ">", "value": ALPHA}
-    if dt_check:
-        paths2, _ = collect(rng.child(5), min(n, 5000), dt / 2.0)
-        ref2 = inverse_laguerre_samples(N, eta, min(n, 5000), rng.child(6))
-        stat2, _, sd2 = energy_permutation_test(paths2[:, -1], ref2, n_perm, rng.child(7))
-        _attach_dt_half(
-            statistics, thresholds, "energy_statistic_dt_half", stats_t[-1], stat2, sds_t[-1] + sd2
-        )
     return ExperimentReport(
         name="equilibrium",
         params={
@@ -466,8 +433,7 @@ def run_coupling_l2(
     sizes = [int(m) for m in N_list]
     if not sizes or np.any(np.diff(sizes) <= 0):
         raise DomainError("N_list must be nonempty and strictly increasing")
-    support = int(np.count_nonzero(omega_target.xs))
-    if sizes[0] <= support:
+    if sizes[0] <= omega_target.support:
         raise DomainError("smallest system must exceed the support size")
     steps = _time_steps(T, dt)
     increments = rng.standard_normal((len(steps), sizes[-1])) * np.sqrt(steps)[:, None]
@@ -537,7 +503,6 @@ def run_collision_bound(
     eta: float = 0.0,
     dt: float = 1e-3,
     threads: int = 1,
-    dt_check: bool = False,
 ) -> ExperimentReport:
     """Top-gap collision probability against the Lyapunov stopping bound.
 
@@ -561,12 +526,14 @@ def run_collision_bound(
     bound = (big_c + t / eps) / abs(np.log(delta))
     params = SdeParams(eta=eta, rescaled=True)
 
-    def hit_rate(sub_rng, total, cfg, dt_step):
+    stats = {}
+    max_excess = -np.inf
+    for ci, cfg in enumerate(x_family):
         def worker(block_rng, count):
             x = np.tile(cfg.values, (count, 1))
             live = np.arange(count)
             hit = np.zeros(count, bool)
-            for step in _time_steps(t, dt_step):
+            for step in _time_steps(t, dt):
                 if not live.size:
                     break
                 x, froze = evolve_ensemble(x, params, step, step, block_rng)
@@ -576,12 +543,7 @@ def run_collision_bound(
                 live, x = live[keep], x[keep]
             return hit
 
-        return float(_run_blocks(total, worker, sub_rng, threads).mean())
-
-    stats, thresholds = {}, {}
-    max_excess = -np.inf
-    for ci, cfg in enumerate(x_family):
-        est = hit_rate(rng.child(ci), n, cfg, dt)
+        est = float(_run_blocks(n, worker, rng.child(ci), threads).mean())
         se = float(np.sqrt(est * (1.0 - est) / n))
         stats[f"estimate_N{cfg.n}"] = est
         stats[f"mc_se_N{cfg.n}"] = se
@@ -589,16 +551,6 @@ def run_collision_bound(
     stats["lyapunov_constant"] = big_c
     stats["bound"] = bound
     stats["max_excess_over_bound"] = max_excess
-    thresholds["max_excess_over_bound"] = {"op": "<=", "value": 0.0}
-    if dt_check:
-        cfg = x_family[-1]
-        n_half = max(n // 2, 200)
-        est_half = hit_rate(rng.child(900), n_half, cfg, dt / 2.0)
-        est_ref = stats[f"estimate_N{cfg.n}"]
-        se_comb = np.sqrt(
-            est_half * (1 - est_half) / n_half + est_ref * (1 - est_ref) / n
-        )
-        _attach_dt_half(stats, thresholds, "estimate_dt_half", est_ref, est_half, float(se_comb))
     return ExperimentReport(
         name="collision_bound",
         params={
@@ -611,7 +563,7 @@ def run_collision_bound(
             "dt": dt,
         },
         statistics=stats,
-        thresholds=thresholds,
+        thresholds={"max_excess_over_bound": {"op": "<=", "value": 0.0}},
         seeds=_seed_tuple(rng),
     )
 
@@ -692,7 +644,6 @@ def run_matrix_eigen_agreement(
     rng: RandomSource,
     dt: float = 1e-3,
     threads: int = 1,
-    dt_check: bool = False,
 ) -> ExperimentReport:
     """Matrix-integrator spectra against the direct eigenvalue integrator.
 
@@ -705,38 +656,25 @@ def run_matrix_eigen_agreement(
     h0 = np.diag(x0.values)
     params = SdeParams(eta=eta, rescaled=False)
 
-    def collect(sub_rng, total, dt_step):
-        def matrix_worker(block_rng, count):
-            h0s = np.tile(h0, (count, 1, 1))
-            h = evolve_matrix_ensemble(h0s, params, t, dt_step, block_rng)
-            return np.linalg.eigvalsh(h)[:, ::-1]
+    def matrix_worker(block_rng, count):
+        h = evolve_matrix_ensemble(np.tile(h0, (count, 1, 1)), params, t, dt, block_rng)
+        return np.linalg.eigvalsh(h)[:, ::-1]
 
-        def eigen_worker(block_rng, count):
-            # matched plain-Euler discretisation on both sides, so the
-            # leading-order weak errors largely cancel in the comparison
-            return evolve_ensemble(
-                np.tile(x0.values, (count, 1)), params, t, dt_step, block_rng, "eigen"
-            )
+    def eigen_worker(block_rng, count):
+        # matched plain-Euler discretisation on both sides, so the
+        # leading-order weak errors largely cancel in the comparison
+        return evolve_ensemble(np.tile(x0.values, (count, 1)), params, t, dt, block_rng, "eigen")
 
-        a = _run_blocks(total, matrix_worker, sub_rng.child(0), threads)
-        b, fail = _run_blocks(total, eigen_worker, sub_rng.child(1), threads)
-        return a, b[~fail], int(fail.sum())
-
-    a, b, discarded = collect(rng.child(1), n, dt)
-    ks = ks_per_coordinate(a, b)
+    sub_rng = rng.child(1)
+    a = _run_blocks(n, matrix_worker, sub_rng.child(0), threads)
+    b, fail = _run_blocks(n, eigen_worker, sub_rng.child(1), threads)
+    ks = ks_per_coordinate(a, b[~fail])
     bonferroni = ALPHA / N
     statistics = {
         **{f"ks_pvalue_coord{k + 1}": float(p) for k, p in enumerate(ks)},
         "min_ks_pvalue": float(ks.min()),
-        "discarded_replicas": float(discarded),
+        "discarded_replicas": float(fail.sum()),
     }
-    thresholds = {"min_ks_pvalue": {"op": ">", "value": bonferroni}}
-    if dt_check:
-        a2, b2, _ = collect(rng.child(2), min(n, 5000), dt / 2.0)
-        stat, _, sd = energy_permutation_test(a, b, _MATRIX_N_PERM, rng.child(3))
-        stat2, _, sd2 = energy_permutation_test(a2, b2, _MATRIX_N_PERM, rng.child(4))
-        statistics["energy_statistic"] = stat
-        _attach_dt_half(statistics, thresholds, "energy_statistic_dt_half", stat, stat2, sd + sd2)
     return ExperimentReport(
         name="matrix_eigen_agreement",
         params={
@@ -748,6 +686,6 @@ def run_matrix_eigen_agreement(
             "bonferroni_level": bonferroni,
         },
         statistics=statistics,
-        thresholds=thresholds,
+        thresholds={"min_ks_pvalue": {"op": ">", "value": bonferroni}},
         seeds=_seed_tuple(rng),
     )

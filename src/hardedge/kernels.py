@@ -32,7 +32,6 @@ __all__ = [
     "lambda_kn_density",
     "lambda_k2_cell_masses",
     "boundary_corner_samples",
-    "haar_unitary",
     "interlaces",
 ]
 
@@ -244,11 +243,6 @@ def _compressed_spectrum(x, frame: np.ndarray, shift: float = 0.0) -> np.ndarray
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolveFailure(str(exc)) from exc
     return np.clip(w[..., ::-1], 0.0, None)
-
-
-def haar_unitary(m: int, rng, size: int | None = None) -> np.ndarray:
-    """Haar unitary matrices via QR of a complex Ginibre with phase fix."""
-    return _haar_frame(rng, (m, m) if size is None else (size, m, m))
 
 
 def chain_samples(config: OrderedConfig, K: int, n: int, rng) -> np.ndarray:

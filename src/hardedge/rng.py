@@ -76,6 +76,3 @@ class ZeroNoise:
 
     def standard_normal(self, size=None):
         return 0.0 if size is None else np.zeros(size)
-
-    def complex_normal(self, size=()):
-        return np.zeros(tuple(size), dtype=complex)

@@ -225,7 +225,9 @@ def simulate(
     halving bottoms out raises :class:`StepFailure` at the step's start time.
     """
     save = [float(t) for t in save_times]
-    if any(t < 0 or t > horizon for t in save) or np.any(np.diff(save) <= 0):
+    if not np.isfinite(horizon):
+        raise DomainError(f"need a finite horizon, got horizon={horizon}")
+    if any(not 0 <= t <= horizon for t in save) or np.any(np.diff(save) <= 0):
         raise DomainError("save_times must be increasing within [0, horizon]")
     if integrator not in ("eigen", "log"):
         raise DomainError(f"unknown integrator {integrator!r}")

@@ -95,6 +95,24 @@ class TestSimulate:
         cfg.write_text(json.dumps({"horizon": 0.01, "save_times": [0.01]}))
         assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize(
+        "horizon, save_times, named",
+        [
+            ("NaN", "[0.01]", "finite horizon"),
+            ("Infinity", "[0.01]", "finite horizon"),
+            ("0.02", "[NaN]", "save_times"),
+        ],
+        ids=["nan-horizon", "inf-horizon", "nan-save-time"],
+    )
+    def test_nonfinite_times_are_typed_errors(self, tmp_path, capsys, horizon, save_times, named):
+        code = run_cli(
+            tmp_path, "simulate", "--set", "initial=[1.0]", "--set", f"horizon={horizon}",
+            "--set", f"save_times={save_times}",
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 class TestSamplers:
     def test_sample_kernel(self, tmp_path):
@@ -179,6 +197,12 @@ class TestKernelTable:
 
     def test_bad_grid(self, tmp_path):
         assert run_cli(tmp_path, "kernel-table", "--set", "eta=1.0", "--set", "grid=[2,1]") == 1
+
+    @pytest.mark.parametrize("grid", ["[0.2,NaN]", "[1,Infinity]"], ids=["nan", "inf"])
+    def test_nonfinite_grid_is_a_config_error(self, tmp_path, capsys, grid):
+        assert run_cli(tmp_path, "kernel-table", "--set", "eta=1.0", "--set", f"grid={grid}") == 1
+        assert "grid must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "kernel.csv").exists()
 
     def test_eta_at_or_below_minus_one_exits_two(self, tmp_path, capsys):
         code = run_cli(tmp_path, "kernel-table", "--set", "eta=-2", "--set", "grid=[0.5]")
@@ -321,6 +345,25 @@ class TestExperimentCommand:
     @pytest.mark.parametrize(
         "name, settings",
         [
+            ("intertwining", ["x=[3,2,1]", "t=0.01", "n=50", "n_perm=20"]),
+            ("equilibrium", ["N=1", "eta=1", "t_grid=[0.01]", "n=50", "n_perm=20"]),
+            ("collision-bound", ["sizes=[2]", "delta=0.05", "eps=0.1", "t=0.01", "n=50"]),
+            ("matrix-eigen-agreement", ["N=3", "x0=[3,2,1]", "t=0.01", "n=50"]),
+        ],
+        ids=["intertwining", "equilibrium", "collision", "matrix"],
+    )
+    def test_dt_check_is_an_unknown_key(self, tmp_path, capsys, name, settings):
+        # each experiment runs at its one dt; a dt/2 comparison is a second run
+        argv = ["experiment", name, "--seed", "1", "--set", "dt_check=true"]
+        for item in settings:
+            argv += ["--set", item]
+        assert run_cli(tmp_path, *argv) == 1
+        assert "unknown config keys ['dt_check']" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, settings",
+        [
             ("equilibrium", ["N=1", "eta=1", "t_grid=[0.1]", "n=0"]),
             ("equilibrium", ["N=1", "eta=1", "t_grid=[]", "n=10"]),
             ("collision-bound", ["sizes=[2]", "delta=0.05", "eps=0.1", "t=0.01", "n=0"]),
@@ -349,6 +392,7 @@ class TestExperimentCommand:
             ("coupling-l2", ["omega_xs=[1]", "N_list=[4,4,8]", "T=0.01"]),
             ("intertwining", ["x=[3,2,1]", "t=0.05", "n=10", "eta=NaN"]),
             ("matrix-eigen-agreement", ["N=3", "x0=[3,2,1]", "t=0.05", "n=10", "eta=NaN"]),
+            ("coupling-l2", ["omega_xs=[1]", "gamma=NaN", "N_list=[4,8]", "T=0.01"]),
         ],
         ids=[
             "equilibrium-n0", "equilibrium-empty-t_grid", "collision-n0", "collision-no-sizes",
@@ -359,7 +403,7 @@ class TestExperimentCommand:
             "hard-edge-decreasing-bins", "hard-edge-negative-top", "hard-edge-top0",
             "hard-edge-top-above-N", "hard-edge-eta-near-minus-1", "collision-fractional-size",
             "uniform-fractional-size", "coupling-fractional-N_list", "coupling-repeated-N_list",
-            "intertwining-nan-eta", "matrix-nan-eta",
+            "intertwining-nan-eta", "matrix-nan-eta", "coupling-nan-gamma",
         ],
     )
     def test_malformed_inputs_are_typed_errors(self, tmp_path, capsys, name, settings):

@@ -76,6 +76,16 @@ class TestOmegaPlusPoint:
         with pytest.raises(DomainError):
             OmegaPlusPoint([0.1, 0.2], gamma=1.0)
 
+    @pytest.mark.parametrize(
+        "xs, gamma",
+        [([float("nan")], 1.0), ([float("inf")], float("inf")), ([1.0], float("inf")),
+         ([1.0], float("nan"))],
+        ids=["nan-xs", "inf-xs", "inf-gamma", "nan-gamma"],
+    )
+    def test_validation(self, xs, gamma):
+        with pytest.raises(DomainError, match="must be finite"):
+            OmegaPlusPoint(xs, gamma)
+
 
 class TestSdeParams:
     def test_validation(self):

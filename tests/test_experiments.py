@@ -135,47 +135,6 @@ class TestEquilibrium:
         assert rep.verdicts["monotone_margin"], rep.summary()
 
 
-class TestDtCheck:
-    def test_dt_stability_attached(self):
-        rep = run_intertwining(
-            OrderedConfig([3.0, 2.0, 1.0]), 0.05, 0.0, 1200, RandomSource(60),
-            dt=2e-3, n_perm=200, dt_check=True,
-        )
-        assert "energy_statistic_dt_half" in rep.statistics
-        assert rep.verdicts["dt_stability_margin"], rep.summary()
-
-    @staticmethod
-    def check_attached(rep):
-        for key in ("energy_statistic_dt_half", "dt_stability_margin"):
-            assert np.isfinite(rep.statistics[key]), key
-        assert rep.thresholds["dt_stability_margin"] == {"op": "<=", "value": 0.0}
-        assert "dt_stability_margin" in rep.verdicts
-
-    def test_equilibrium_dt_half_attached(self):
-        rep = run_equilibrium(
-            2, 1.0, OrderedConfig([2.0, 1.0]), [0.05], 600, RandomSource(62),
-            dt=2e-3, n_perm=200, dt_check=True,
-        )
-        self.check_attached(rep)
-
-    def test_matrix_dt_half_attached(self):
-        rep = run_matrix_eigen_agreement(
-            3, 0.0, OrderedConfig([3.0, 2.0, 1.0]), 0.02, 400, RandomSource(63),
-            dt=2e-3, dt_check=True,
-        )
-        self.check_attached(rep)
-
-
-class TestCollisionDtCheck:
-    def test_dt_half_estimate_stable(self):
-        fam = [OrderedConfig([2.0, 1.0])]
-        rep = run_collision_bound(
-            fam, 0.05, 0.1, 0.2, 1500, RandomSource(61), dt=2e-3, dt_check=True
-        )
-        assert "estimate_dt_half" in rep.statistics
-        assert rep.verdicts["dt_stability_margin"], rep.summary()
-
-
 class TestCouplingL2:
     def test_single_atom_decreasing(self):
         om = OmegaPlusPoint([1.0], gamma=1.0)

@@ -8,10 +8,10 @@ from hardedge.core import OmegaPlusPoint, OrderedConfig, embed
 from hardedge.errors import DegenerateKnots, DomainError, NumericalInstability, OrderTooHigh
 from hardedge.kernels import (
     KnotVector,
+    _haar_frame,
     boundary_corner_samples,
     chain_samples,
     corner_samples,
-    haar_unitary,
     interlaces,
     lambda_kn_density,
     spline_m,
@@ -151,12 +151,12 @@ class TestTailMass:
 
 class TestHaarUnitary:
     def test_unitarity(self):
-        u = haar_unitary(5, RandomSource(11))
+        u = _haar_frame(RandomSource(11), (5, 5))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
 
     def test_first_column_phase_distribution(self):
         # |U_11|^2 of a Haar unitary is Beta(1, m-1); check the mean 1/m.
-        u = haar_unitary(4, RandomSource(12), size=4000)
+        u = _haar_frame(RandomSource(12), (4000, 4, 4))
         m = np.mean(np.abs(u[:, 0, 0]) ** 2)
         assert m == pytest.approx(0.25, abs=0.02)
 
