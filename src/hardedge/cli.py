@@ -62,10 +62,6 @@ def _coerce(value, kind, key):
             ):
                 raise ValueError
             out = list(value)
-        elif kind == "str":
-            if not isinstance(value, str):
-                raise ValueError
-            out = value
         else:  # pragma: no cover
             raise AssertionError(kind)
     except (TypeError, ValueError):
@@ -188,7 +184,6 @@ def _simulate(cfg, rng):
         cfg["dt_max"],
         cfg["save_times"],
         rng,
-        integrator=cfg["integrator"],
     )
     header = ["t"] + [f"x{i + 1}" for i in range(traj.n)]
     rows = ([t] + list(state.values) for t, state in zip(traj.times, traj.states))
@@ -225,7 +220,6 @@ _COMMANDS = {
             "dt_max": ("float", 1e-3),
             "horizon": ("float", REQUIRED),
             "save_times": ("list", REQUIRED),
-            "integrator": ("str", "log"),
             "stream": ("int", 0),
         },
         _simulate,

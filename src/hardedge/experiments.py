@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .core import OmegaPlusPoint, OrderedConfig, SdeParams, embed, lyapunov_f
 from .equilibrium import bessel_kernel, inverse_bessel_kernel, inverse_laguerre_samples
-from .errors import DomainError, StepFailure
+from .errors import DomainError, ParameterError, StepFailure
 from .kernels import boundary_corner_samples, chain_samples, corner_of_each, corner_samples
 from .rng import RandomSource
 from .sde import _advance_batch, _time_steps, evolve_ensemble, evolve_matrix_ensemble
@@ -310,8 +310,8 @@ def run_equilibrium(
     noise floor for all times.  A tied or zero ``x0``, or one without N
     coordinates, is a DomainError that names it.
     """
-    if eta <= -1:
-        raise DomainError("equilibrium requires eta > -1")
+    if not eta > -1:
+        raise ParameterError(f"need eta > -1, got {eta}")
     t_grid = [float(t) for t in t_grid]
     if not t_grid or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
         raise DomainError("t_grid must be nonempty, positive and increasing")
@@ -421,12 +421,11 @@ def run_coupling_l2(
     Coordinate i of every system consumes the same Gaussian increments (a
     stronger, constructive stand-in for the abstract coupling); the
     embedded sup-l2 discrepancy between consecutive sizes must not grow by
-    more than 20 percent.  Each size steps on the particle engine's log
-    integrator, which splits a rejected increment at a Brownian-bridge
-    midpoint drawn from that size's own child stream, so every size still
-    moves by the shared increments; ``halved_steps`` counts the grid steps,
-    over all sizes, that were halved.  Pathwise experiment: integration
-    failures abort.
+    more than 20 percent.  Each size steps on the particle engine, which
+    splits a rejected increment at a Brownian-bridge midpoint drawn from that
+    size's own child stream, so every size still moves by the shared
+    increments; ``halved_steps`` counts the grid steps, over all sizes, that
+    were halved.  Pathwise experiment: integration failures abort.
     """
     if not all(float(m).is_integer() for m in N_list):
         raise DomainError(f"N_list must hold whole numbers, got {list(N_list)!r}")
@@ -453,17 +452,18 @@ def run_coupling_l2(
     for a, b in pairs:
         sup_disc[(a, b)] = pair_disc(states[a], states[b])
 
-    for s, step in enumerate(steps):
-        for m, x in states.items():
-            dw = increments[s, None, :m]
-            new, failed = _advance_batch(x[None], step, dw, bridges[m], params, "log")
-            if failed is not None:
-                if failed[0]:
-                    raise StepFailure(f"coupling integration failed for N={m}", time=s * dt)
-                halved += 1
-            states[m] = new[0]
-        for a, b in pairs:
-            sup_disc[(a, b)] = max(sup_disc[(a, b)], pair_disc(states[a], states[b]))
+    with np.errstate(over="ignore"):
+        for s, step in enumerate(steps):
+            for m, x in states.items():
+                dw = increments[s, None, :m]
+                new, failed = _advance_batch(x[None], step, dw, bridges[m], params)
+                if failed is not None:
+                    if failed[0]:
+                        raise StepFailure(f"coupling integration failed for N={m}", time=s * dt)
+                    halved += 1
+                states[m] = new[0]
+            for a, b in pairs:
+                sup_disc[(a, b)] = max(sup_disc[(a, b)], pair_disc(states[a], states[b]))
 
     discs = [sup_disc[p] for p in pairs]
     if not np.all(np.isfinite(discs)):
@@ -645,10 +645,13 @@ def run_matrix_eigen_agreement(
     dt: float = 1e-3,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Matrix-integrator spectra against the direct eigenvalue integrator.
+    """Matrix-integrator spectra against the particle integrator.
 
-    Both start from ``x0``, the matrix side from diag(x0).  A tied or zero
-    ``x0``, or one without N coordinates, is a DomainError that names it.
+    Both start from ``x0``, the matrix side from diag(x0), and step on the
+    same dt grid: the matrix side by its congruence step, the particle side
+    by the log-coordinate Euler step.  Each coordinate's two marginals are
+    compared by KS at the Bonferroni level.  A tied or zero ``x0``, or one
+    without N coordinates, is a DomainError that names it.
     """
     if x0.n != N:
         raise DomainError(f"x0 must have N={N} coordinates, got {x0.n}")
@@ -660,14 +663,12 @@ def run_matrix_eigen_agreement(
         h = evolve_matrix_ensemble(np.tile(h0, (count, 1, 1)), params, t, dt, block_rng)
         return np.linalg.eigvalsh(h)[:, ::-1]
 
-    def eigen_worker(block_rng, count):
-        # matched plain-Euler discretisation on both sides, so the
-        # leading-order weak errors largely cancel in the comparison
-        return evolve_ensemble(np.tile(x0.values, (count, 1)), params, t, dt, block_rng, "eigen")
+    def particle_worker(block_rng, count):
+        return evolve_ensemble(np.tile(x0.values, (count, 1)), params, t, dt, block_rng)
 
     sub_rng = rng.child(1)
     a = _run_blocks(n, matrix_worker, sub_rng.child(0), threads)
-    b, fail = _run_blocks(n, eigen_worker, sub_rng.child(1), threads)
+    b, fail = _run_blocks(n, particle_worker, sub_rng.child(1), threads)
     ks = ks_per_coordinate(a, b[~fail])
     bonferroni = ALPHA / N
     statistics = {

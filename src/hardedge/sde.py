@@ -5,15 +5,16 @@ The N-particle equation is
     dx_i = x_i dw_i + [-(eta/2) x_i + c] dt + sum_{j != i} x_i x_j/(x_i - x_j) dt
 
 with c = 1/2 (plain normalisation) or 1/(2N) (hard-edge rescaling).  Steps
-are explicit Euler-Maruyama with adaptive halving: a proposal that crosses
-an ordering gap or the positivity boundary is rejected, and the interval is
-re-integrated as two halves whose increments split the rejected one at a
-Brownian-bridge midpoint (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997), so
-the Brownian path is preserved and paths driven by shared increments stay
-coupled.  The log-coordinate integrator removes the positivity failure mode
-and is the default near the hard edge.  A matrix-valued integrator, whose
-congruence step keeps every state positive semidefinite, and the action of
-the infinitesimal generator complete the set of finite-N diagnostics.
+are explicit Euler-Maruyama in log coordinates y = log x, the natural chart
+of a positive diffusion with multiplicative noise x dw, so a step cannot
+cross zero.  Steps halve adaptively: a proposal that closes an ordering gap
+or is not finite and positive is rejected, and the interval is re-integrated
+as two halves whose increments split the rejected one at a Brownian-bridge
+midpoint (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997), so the Brownian path
+is preserved and paths driven by shared increments stay coupled.  A
+matrix-valued integrator, whose congruence step keeps every state positive
+semidefinite, and the action of the infinitesimal generator complete the set
+of finite-N diagnostics.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ __all__ = [
 # A step of length dt halves at most this many times, so its shortest sub-step
 # is dt * 2**-40; a row still rejected at that length fails.
 _MAX_HALVINGS = 40
-# The bottom coordinate an eigen-coordinate step must stay above.
-_POSITIVITY_FLOOR = 1e-12
 # A step is accepted only if every gap keeps more than this share of its size.
 _GAP_SAFETY = 0.1
 
@@ -105,25 +104,25 @@ def log_drift(x: np.ndarray, params: SdeParams) -> np.ndarray:
 # batched Euler stepping with per-replica halving
 # ---------------------------------------------------------------------------
 
-def _propose(kind: str, x: np.ndarray, dt: float, dw: np.ndarray, params: SdeParams):
-    if kind == "eigen":
-        return x + x * dw + eigen_drift(x, params) * dt
+def _propose(x: np.ndarray, dt: float, dw: np.ndarray, params: SdeParams):
     return x * np.exp(dw + log_drift(x, params) * dt)
 
 
-def _accept(kind: str, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+def _accept(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Entrywise acceptance; a row is accepted when all its entries are."""
     good = np.isfinite(new)
     good[..., :-1] &= new[..., :-1] - new[..., 1:] > _GAP_SAFETY * (old[..., :-1] - old[..., 1:])
-    # log steps keep positivity by construction; eigen steps must clear the floor
-    good[..., -1] &= new[..., -1] > (_POSITIVITY_FLOOR if kind == "eigen" else 0.0)
+    # x exp(.) is positive unless the exp underflows to zero
+    good[..., -1] &= new[..., -1] > 0.0
     return good
 
 
-def _advance_batch(x, dt, dw, rng, params, kind, depth=_MAX_HALVINGS):
+def _advance_batch(x, dt, dw, rng, params, depth=_MAX_HALVINGS):
     """Advance all rows by dt on their Brownian increments dw.  Returns
     (new_x, failed_mask), the mask None when every row was accepted at the
-    first proposal.
+    first proposal.  Callers enter ``np.errstate(over="ignore")`` once around
+    their stepping loop: a proposal whose exp overflows is inf, which the
+    acceptance test rejects, so numpy's warning would say nothing more.
 
     A rejected row is re-integrated as two dt/2 halves: the first takes the
     bridge midpoint dw/2 + sqrt(dt/4) Z (one draw over the rejected rows),
@@ -131,8 +130,8 @@ def _advance_batch(x, dt, dw, rng, params, kind, depth=_MAX_HALVINGS):
     increment.  A row still rejected after ``depth`` halvings keeps its state
     and is flagged failed.
     """
-    prop = _propose(kind, x, dt, dw, params)
-    good = _accept(kind, prop, x)
+    prop = _propose(x, dt, dw, params)
+    good = _accept(prop, x)
     if good.all():
         return prop, None
     bad = np.nonzero(~good.all(axis=-1))[0]
@@ -144,12 +143,12 @@ def _advance_batch(x, dt, dw, rng, params, kind, depth=_MAX_HALVINGS):
     rejected = dw[bad]
     first = rejected / 2.0 + rng.standard_normal(rejected.shape) * math.sqrt(dt / 4.0)
     second = rejected - first
-    sub, f1 = _advance_batch(x[bad], dt / 2.0, first, rng, params, kind, depth - 1)
+    sub, f1 = _advance_batch(x[bad], dt / 2.0, first, rng, params, depth - 1)
     f1 = np.zeros(bad.size, dtype=bool) if f1 is None else f1
     alive = np.nonzero(~f1)[0]
     if alive.size:
         sub[alive], f2 = _advance_batch(
-            sub[alive], dt / 2.0, second[alive], rng, params, kind, depth - 1
+            sub[alive], dt / 2.0, second[alive], rng, params, depth - 1
         )
         if f2 is not None:
             f1[alive[f2]] = True
@@ -174,7 +173,6 @@ def evolve_ensemble(
     horizon: float,
     dt: float,
     rng,
-    integrator: str = "log",
 ):
     """Evolve an (n, N) ensemble to the horizon on a dt grid.
 
@@ -185,24 +183,23 @@ def evolve_ensemble(
     consumption is a deterministic function of the rng stream, so identical
     sources give identical ensembles.
     """
-    if integrator not in ("eigen", "log"):
-        raise DomainError(f"unknown integrator {integrator!r}")
     x = np.array(states, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
     failed = np.zeros(x.shape[0], dtype=bool)
-    for step in _time_steps(horizon, dt):
-        if failed.any():
-            live = np.nonzero(~failed)[0]
-            dw = rng.standard_normal((live.size, x.shape[1])) * math.sqrt(step)
-            x[live], fail_now = _advance_batch(x[live], step, dw, rng, params, integrator)
-            if fail_now is not None:
-                failed[live[fail_now]] = True
-        else:
-            dw = rng.standard_normal(x.shape) * math.sqrt(step)
-            x, fail_now = _advance_batch(x, step, dw, rng, params, integrator)
-            if fail_now is not None:
-                failed = fail_now
+    with np.errstate(over="ignore"):
+        for step in _time_steps(horizon, dt):
+            if failed.any():
+                live = np.nonzero(~failed)[0]
+                dw = rng.standard_normal((live.size, x.shape[1])) * math.sqrt(step)
+                x[live], fail_now = _advance_batch(x[live], step, dw, rng, params)
+                if fail_now is not None:
+                    failed[live[fail_now]] = True
+            else:
+                dw = rng.standard_normal(x.shape) * math.sqrt(step)
+                x, fail_now = _advance_batch(x, step, dw, rng, params)
+                if fail_now is not None:
+                    failed = fail_now
     return x, failed
 
 
@@ -217,7 +214,6 @@ def simulate(
     dt: float,
     save_times: Sequence[float],
     rng,
-    integrator: str = "log",
 ) -> Trajectory:
     """Integrate one path on a dt grid and record the state at the requested times.
 
@@ -229,8 +225,6 @@ def simulate(
         raise DomainError(f"need a finite horizon, got horizon={horizon}")
     if any(not 0 <= t <= horizon for t in save) or np.any(np.diff(save) <= 0):
         raise DomainError("save_times must be increasing within [0, horizon]")
-    if integrator not in ("eigen", "log"):
-        raise DomainError(f"unknown integrator {integrator!r}")
     if not (np.isfinite(dt) and dt > 0):
         raise DomainError(f"need a finite dt > 0, got dt={dt}")
     times = [0.0]
@@ -244,7 +238,7 @@ def simulate(
             if not started:  # accepted steps stay interior, so only the start is checked
                 initial.require_interior()
                 started = True
-            x, failed = evolve_ensemble(x, params, step, step, rng, integrator)
+            x, failed = evolve_ensemble(x, params, step, step, rng)
             if failed[0]:
                 raise StepFailure(f"step failed at t={t:.6g}", time=t)
             t += step

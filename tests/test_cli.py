@@ -75,19 +75,24 @@ class TestSimulate:
         _, times, _ = read_trajectory_csv(tmp_path / "trajectory.csv")
         np.testing.assert_array_equal(times, [0.0, 0.005])
 
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"initial": [1.0], "horizon": 0.01, "save_times": [0.01], "bogus": 1}))
-        assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 1
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # integrator selects nothing: the particle step is the log step
+        for key, value in (("bogus", 1), ("integrator", "log")):
+            cfg = tmp_path / "sim.json"
+            cfg.write_text(
+                json.dumps({"initial": [1.0], "horizon": 0.01, "save_times": [0.01], key: value})
+            )
+            assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 1
+            assert f"unknown config keys [{key!r}]" in capsys.readouterr().err
 
     def test_step_failure_exits_two(self, tmp_path, capsys):
+        # the rejected proposals overflow exp on the way; stderr holds only the error
         code = run_cli(
             tmp_path, "simulate", "--seed", "3", "--set", "initial=[1.0000000000005, 1.0]",
             "--set", "horizon=1.0", "--set", "save_times=[1.0]", "--set", "dt_max=1.0",
-            "--set", "integrator=\"eigen\"",
         )
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == ["error: step failed at t=0"]
         assert not (tmp_path / "trajectory.csv").exists()
 
     def test_missing_required_key(self, tmp_path):
@@ -427,6 +432,15 @@ class TestExperimentCommand:
         self, tmp_path, capsys, monkeypatch, name, settings, named
     ):
         self._fails_before_evolving(tmp_path, capsys, monkeypatch, name, settings, named)
+
+    @pytest.mark.parametrize(
+        "eta, named",
+        [("-1", "need eta > -1, got -1.0"), ("NaN", "need eta > -1, got nan")],
+        ids=["-1", "nan"],
+    )
+    def test_equilibrium_eta_is_named_up_front(self, tmp_path, capsys, monkeypatch, eta, named):
+        settings = ["N=2", f"eta={eta}", "x0=[2,1]", "t_grid=[0.1]", "n=50"]
+        self._fails_before_evolving(tmp_path, capsys, monkeypatch, "equilibrium", settings, named)
 
     @pytest.mark.parametrize(
         "name, settings, named",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardedge.core import OmegaPlusPoint, OrderedConfig
-from hardedge.errors import DomainError
+from hardedge.errors import DomainError, ParameterError
 from hardedge.experiments import (
     ExperimentReport,
     bump_function,
@@ -133,6 +133,11 @@ class TestEquilibrium:
         )
         assert rep.verdicts["final_pvalue"], rep.summary()
         assert rep.verdicts["monotone_margin"], rep.summary()
+
+    @pytest.mark.parametrize("eta", [-1.0, -2.0, np.nan])
+    def test_eta_at_or_below_minus_one_is_named(self, eta):
+        with pytest.raises(ParameterError, match=f"need eta > -1, got {eta}"):
+            run_equilibrium(1, eta, OrderedConfig([3.0]), [0.1], 10, RandomSource(29))
 
 
 class TestCouplingL2:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,21 +41,18 @@ def drift_by_loops(x: np.ndarray, params: SdeParams, kind: str) -> np.ndarray:
     return out
 
 
-def reference_evolve(x0, params, steps, dt, rng, kind):
-    """The batched Euler engine written plainly: draw the grid increments for
-    every row not yet frozen, propose, accept, re-integrate the rejected rows
-    as two dt/2 halves whose increments split theirs at a Brownian-bridge
+def reference_evolve(x0, params, steps, dt, rng):
+    """The batched log-Euler engine written plainly: draw the grid increments
+    for every row not yet frozen, propose, accept, re-integrate the rejected
+    rows as two dt/2 halves whose increments split theirs at a Brownian-bridge
     midpoint (the second half only for rows that survived the first), freeze
     them at depth 0; frozen rows keep their state and draw nothing.  Returns
     (x, failed, rejections)."""
 
     def advance(x, h, dw, depth):
-        if kind == "eigen":
-            prop = x + x * dw + eigen_drift(x, params) * h
-        else:
+        with np.errstate(over="ignore"):
             prop = x * np.exp(dw + log_drift(x, params) * h)
-        floor = 1e-12 if kind == "eigen" else 0.0
-        ok = np.all(np.isfinite(prop), axis=1) & (prop[:, -1] > floor)
+        ok = np.all(np.isfinite(prop), axis=1) & (prop[:, -1] > 0.0)
         gaps = prop[:, :-1] - prop[:, 1:]
         ok &= np.all(gaps > 0.1 * (x[:, :-1] - x[:, 1:]), axis=1)
         new = np.where(ok[:, None], prop, x)
@@ -117,10 +115,10 @@ class ScriptedNoise:
         return draw
 
 
-def one_step(x0, params, dt, rng, kind):
+def one_step(x0, params, dt, rng):
     """One grid step of one path: a one-row evolve_ensemble call.
     Returns (state, failed)."""
-    out, failed = evolve_ensemble(np.array([x0], dtype=float), params, dt, dt, rng, kind)
+    out, failed = evolve_ensemble(np.array([x0], dtype=float), params, dt, dt, rng)
     return out[0], failed[0]
 
 
@@ -132,63 +130,16 @@ def sum_sq() -> SmoothFunction:
     )
 
 
-class TestEigenStep:
-    def test_drift_only_n1_plain(self):
-        out, _ = one_step([1.0], PLAIN, 0.1, ZeroNoise(), "eigen")
-        assert out[0] == pytest.approx(1.05)
-
-    def test_drift_only_n2_plain(self):
-        dt = 1e-4
-        out, _ = one_step([2.0, 1.0], PLAIN, dt, ZeroNoise(), "eigen")
-        np.testing.assert_allclose(out, [2.0 + 2.5 * dt, 1.0 - 1.5 * dt])
-
-    def test_n1_rescaled_equals_plain(self):
-        p = SdeParams(eta=0.0, rescaled=True)
-        out, _ = one_step([1.0], p, 0.1, ZeroNoise(), "eigen")
-        assert out[0] == pytest.approx(1.05)
-
-    def test_requires_interior(self):
-        with pytest.raises(DomainError, match=r"x\[0\] = x\[1\] = 1\.0"):
-            simulate(OrderedConfig([1.0, 1.0]), PLAIN, 0.01, 1e-3, [0.01], ZeroNoise(), "eigen")
-
-    def test_step_failure_on_impossible_state(self):
-        # at dt = 1 the shortest sub-step is 2^-40 ~ 9e-13; across a 5e-13 gap
-        # the interaction kick at that dt is ~2, so positivity always fails
-        x0 = [1.0 + 5e-13, 1.0]
-        out, failed = one_step(x0, PLAIN, 1.0, ZeroNoise(), "eigen")
-        assert failed
-        np.testing.assert_array_equal(out, x0)
-
-    def test_noise_increment_scales_linearly(self):
-        # diffusion part of the Euler update is x * dw: exactly 1-homogeneous
-        rng1 = RandomSource(42, 0)
-        rng2 = RandomSource(42, 0)
-        c = 3.7
-        dt = 1e-5
-        base = np.array([2.0, 1.0])
-        out1, _ = one_step(base, SdeParams(eta=0.0), dt, rng1, "eigen")
-        out2, _ = one_step(c * base, SdeParams(eta=0.0), dt, rng2, "eigen")
-        drift1 = eigen_drift(base, SdeParams(eta=0.0))
-        drift2 = eigen_drift(c * base, SdeParams(eta=0.0))
-        noise1 = out1 - base - drift1 * dt
-        noise2 = out2 - c * base - drift2 * dt
-        np.testing.assert_allclose(noise2, c * noise1, rtol=1e-12)
-        # eta part and interaction are 1-homogeneous; the constant is not
-        np.testing.assert_allclose(
-            drift2, c * drift1 + 0.5 * (1 - c), rtol=1e-12
-        )
-
-
 class TestLogStep:
     def test_stationary_point_n1_rescaled(self):
         p = SdeParams(eta=0.0, rescaled=True)
-        out, _ = one_step([1.0], p, 0.01, ZeroNoise(), "log")
+        out, _ = one_step([1.0], p, 0.01, ZeroNoise())
         assert out[0] == pytest.approx(1.0)
 
     def test_drift_n1_rescaled_x2(self):
         p = SdeParams(eta=0.0, rescaled=True)
         dt = 0.01
-        out, _ = one_step([2.0], p, dt, ZeroNoise(), "log")
+        out, _ = one_step([2.0], p, dt, ZeroNoise())
         assert out[0] == pytest.approx(2.0 * np.exp((-0.5 + 0.25) * dt))
 
     def test_ito_consistency_of_drifts(self):
@@ -203,17 +154,18 @@ class TestLogStep:
                     rtol=1e-12,
                 )
 
-    def test_one_step_agreement_on_shared_noise(self):
-        # pathwise gap between the two integrators is O(dt) with a modest
-        # constant; the Ito correction prevents anything better
-        dt = 1e-4
-        a, _ = one_step([2.0, 1.0], PLAIN, dt, RandomSource(5, 1), "eigen")
-        b, _ = one_step([2.0, 1.0], PLAIN, dt, RandomSource(5, 1), "log")
-        assert np.max(np.abs(a - b)) < 10 * dt
-
     def test_positivity_automatic(self):
-        out, failed = one_step([1e-6], SdeParams(eta=5.0), 1e-3, RandomSource(6), "log")
+        out, failed = one_step([1e-6], SdeParams(eta=5.0), 1e-3, RandomSource(6))
         assert out[0] > 0 and not failed
+
+    def test_step_failure_on_impossible_state(self):
+        # a 1-ulp tie at dt = 1: even at the shortest sub-step 2^-40 the
+        # interaction kick in log coordinates is ~4000, so the top particle's
+        # exp overflows and the bottom one's underflows at every depth
+        x0 = [np.nextafter(1.0, 2.0), 1.0]
+        out, failed = one_step(x0, PLAIN, 1.0, ZeroNoise())
+        assert failed
+        np.testing.assert_array_equal(out, x0)
 
 
 class TestSimulate:
@@ -236,7 +188,6 @@ class TestSimulate:
             horizon=0.1,
             dt=1e-3,
             save_times=[0.1],
-            integrator="eigen",
         )
         a = simulate(OrderedConfig([2.0, 1.0]), rng=ZeroNoise(), **kw)
         b = simulate(OrderedConfig([2.0, 1.0]), rng=ZeroNoise(), **kw)
@@ -257,27 +208,31 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(OrderedConfig([1.0]), PLAIN, 1.0, 1e-3, [2.0], ZeroNoise())
 
+    def test_requires_interior(self):
+        with pytest.raises(DomainError, match=r"x\[0\] = x\[1\] = 1\.0"):
+            simulate(OrderedConfig([1.0, 1.0]), PLAIN, 0.01, 1e-3, [0.01], ZeroNoise())
+
     def test_step_failure_reports_the_start_of_the_failing_step(self):
+        # the first half-step is accepted at ~1e202 before the rest fails;
+        # the overflowing proposals on the way raise no warning
         cfg = OrderedConfig([1.0 + 5e-13, 1.0])
-        with pytest.raises(StepFailure) as info:
-            simulate(cfg, PLAIN, 1.0, 1.0, [1.0], RandomSource(3), "eigen")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure) as info:
+                simulate(cfg, PLAIN, 1.0, 1.0, [1.0], RandomSource(3))
         assert info.value.time == 0.0
 
     @pytest.mark.parametrize(
-        "x0, kind, halves",
-        [
-            ([3.0, 2.0, 1.0], "log", False),
-            ([3.0, 2.0, 1.0], "eigen", False),
-            ([1.0 + 1e-4, 1.0, 0.9], "eigen", True),
-        ],
+        "x0, halves",
+        [([3.0, 2.0, 1.0], False), ([1.0 + 1e-4, 1.0, 0.9], True)],
     )
-    def test_one_path_is_one_ensemble_row(self, x0, kind, halves):
+    def test_one_path_is_one_ensemble_row(self, x0, halves):
         # same grid and stream; the near-tie case halves along the way
         steps, dt = 20, 1e-3
         params = SdeParams(eta=0.5)
         rng = CountingNoise(23, 1)
-        traj = simulate(OrderedConfig(x0), params, steps * dt, dt, [steps * dt], rng, kind)
-        ens, failed = evolve_ensemble(np.array([x0]), params, steps * dt, dt, RandomSource(23, 1), kind)
+        traj = simulate(OrderedConfig(x0), params, steps * dt, dt, [steps * dt], rng)
+        ens, failed = evolve_ensemble(np.array([x0]), params, steps * dt, dt, RandomSource(23, 1))
         assert not failed.any()
         np.testing.assert_array_equal(traj.states[-1].values, ens[0])
         assert (rng.calls > steps) == halves
@@ -310,6 +265,14 @@ class TestDriftDefinition:
                     log_drift(x, params), drift_by_loops(x, params, "log"), rtol=1e-13
                 )
 
+    def test_eigen_drift_homogeneity(self):
+        # the eta part and the interaction are 1-homogeneous; the constant is not
+        c = 3.7
+        base = np.array([2.0, 1.0])
+        np.testing.assert_allclose(
+            eigen_drift(c * base, PLAIN), c * eigen_drift(base, PLAIN) + 0.5 * (1 - c), rtol=1e-12
+        )
+
 
 class TestEnsemble:
     def test_matches_single_path_layout(self):
@@ -320,12 +283,22 @@ class TestEnsemble:
         assert np.all(np.diff(out, axis=1) < 0) and np.all(out[:, -1] > 0)
 
     def test_failed_replicas_freeze(self):
-        # unresolvable near-tie: with a gap below the shortest sub-step every
-        # replica freezes and is flagged rather than crashing the ensemble
-        x0 = np.array([[1.0 + 5e-13, 1.0]] * 3)
-        out, failed = evolve_ensemble(x0, PLAIN, 1.0, 1.0, RandomSource(9), integrator="eigen")
+        # unresolvable near-tie: a 1-ulp gap overflows at every depth, so every
+        # replica freezes at its start and is flagged rather than crashing the
+        # ensemble
+        x0 = np.array([[np.nextafter(1.0, 2.0), 1.0]] * 3)
+        out, failed = evolve_ensemble(x0, PLAIN, 1.0, 1.0, RandomSource(9))
         assert failed.all()
         np.testing.assert_array_equal(out, x0)
+
+    def test_overflowing_proposal_freezes_without_warning(self):
+        # a 5e-13 gap at dt = 1: the rejected proposals overflow exp, which
+        # the acceptance test handles, so numpy raises no warning
+        x0 = np.array([[1.0 + 5e-13, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, failed = evolve_ensemble(x0, PLAIN, 1.0, 1.0, RandomSource(3))
+        assert failed.all() and np.isfinite(out).all()
 
     def test_frozen_rows_stop_drawing(self):
         # the near-tie row freezes in the first step after all 40 halvings;
@@ -333,15 +306,9 @@ class TestEnsemble:
         x0 = np.array([[1.0 + 1e-15, 1.0]] + [[2.0, 1.0]] * 3)
         steps, dt = 100, 0.01
         rng = CountingNoise(9)
-        _, failed = evolve_ensemble(x0, PLAIN, steps * dt, dt, rng, "eigen")
+        _, failed = evolve_ensemble(x0, PLAIN, steps * dt, dt, rng)
         np.testing.assert_array_equal(failed, [True, False, False, False])
         assert rng.calls == steps + 40
-
-    @pytest.mark.parametrize("horizon", [0.0, 0.01])
-    def test_unknown_integrator_is_a_domain_error(self, horizon):
-        x0 = np.array([[2.0, 1.0]])
-        with pytest.raises(DomainError):
-            evolve_ensemble(x0, PLAIN, horizon, 1e-3, RandomSource(8), integrator="midpoint")
 
     @pytest.mark.parametrize(
         "horizon, dt", [(0.1, 0.0), (0.1, -0.1), (0.1, math.nan), (-0.1, 1e-3)]
@@ -354,9 +321,9 @@ class TestEnsemble:
 
 
 class TestEngineAgainstReference:
-    def check(self, x0, params, steps, dt, kind, noise):
-        want, want_failed, rejections = reference_evolve(x0, params, steps, dt, noise(), kind)
-        got, failed = evolve_ensemble(x0, params, steps * dt, dt, noise(), kind)
+    def check(self, x0, params, steps, dt, noise):
+        want, want_failed, rejections = reference_evolve(x0, params, steps, dt, noise())
+        got, failed = evolve_ensemble(x0, params, steps * dt, dt, noise())
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(failed, want_failed)
         return want_failed, rejections
@@ -364,20 +331,20 @@ class TestEngineAgainstReference:
     def test_all_accepted(self):
         x0 = np.array([[3.0, 2.0, 1.0]] * 8)
         params = SdeParams(eta=0.5, rescaled=True)
-        failed, rejections = self.check(x0, params, 40, 1e-3, "log", lambda: RandomSource(21))
+        failed, rejections = self.check(x0, params, 40, 1e-3, lambda: RandomSource(21))
         assert rejections == 0 and not failed.any()
 
     def test_near_tie_halves_without_freezing(self):
-        # eigen step across a 1e-4 gap: at dt = 1e-3 the interaction pushes
-        # the middle particle through the bottom one; a few halvings resolve it
+        # a step across a 1e-4 gap: at dt = 1e-3 the interaction pushes the
+        # middle particle through the bottom one; a few halvings resolve it
         x0 = np.array([[3.0, 2.0, 1.0]] * 4 + [[1.0 + 1e-4, 1.0, 0.9]])
         params = SdeParams(eta=0.5)
-        failed, rejections = self.check(x0, params, 20, 1e-3, "eigen", lambda: RandomSource(22))
+        failed, rejections = self.check(x0, params, 20, 1e-3, lambda: RandomSource(22))
         assert rejections > 0 and not failed.any()
 
     def test_frozen_rows_mixed_with_healthy_rows(self):
         x0 = np.array([[1.0 + 1e-15, 1.0]] + [[2.0, 1.0]] * 3)
-        failed, _ = self.check(x0, PLAIN, 4, 0.25, "eigen", lambda: RandomSource(9))
+        failed, _ = self.check(x0, PLAIN, 4, 0.25, lambda: RandomSource(9))
         np.testing.assert_array_equal(failed, [True, False, False, False])
 
     def test_row_failing_in_its_second_half_stays_frozen(self):
@@ -391,7 +358,7 @@ class TestEngineAgainstReference:
                 draw[0, 0] = 1e16 if call else -1e16
 
         x0 = np.array([[3.0, 2.0, 1.0]] * 3)
-        failed, _ = self.check(x0, PLAIN, 3, 1e-3, "eigen", lambda: ScriptedNoise(script))
+        failed, _ = self.check(x0, PLAIN, 3, 1e-3, lambda: ScriptedNoise(script))
         np.testing.assert_array_equal(failed, [True, False, False])
 
     def test_row_failing_after_another_froze(self):
@@ -407,7 +374,7 @@ class TestEngineAgainstReference:
                 draw[1] = np.nan
 
         x0 = np.array([[3.0, 2.0, 1.0]] * 3)
-        failed, _ = self.check(x0, PLAIN, 4, 1e-3, "eigen", lambda: ScriptedNoise(script))
+        failed, _ = self.check(x0, PLAIN, 4, 1e-3, lambda: ScriptedNoise(script))
         np.testing.assert_array_equal(failed, [True, False, True])
 
     def test_remainder_step_halves_as_often_as_a_full_step(self):
@@ -423,7 +390,7 @@ class TestEngineAgainstReference:
                 draw[0] = np.nan
 
         x0 = np.array([[3.0, 2.0, 1.0]] * 3)
-        _, failed = evolve_ensemble(x0, PLAIN, 1.5 * dt, dt, ScriptedNoise(script), "eigen")
+        _, failed = evolve_ensemble(x0, PLAIN, 1.5 * dt, dt, ScriptedNoise(script))
         np.testing.assert_array_equal(failed, [True, True, False])
         assert shapes == [(3, 3)] + [(1, 3)] * 40 + [(2, 3)] + [(1, 3)] * 40
 
@@ -434,12 +401,12 @@ class TestEngineAgainstReference:
         calls = []
         propose, accept = sde._propose, sde._accept
 
-        def spy_propose(kind, x, dt, dw, params):
+        def spy_propose(x, dt, dw, params):
             calls.append([dt, dw[0].copy(), False])
-            return propose(kind, x, dt, dw, params)
+            return propose(x, dt, dw, params)
 
-        def spy_accept(kind, new, old):
-            good = accept(kind, new, old)
+        def spy_accept(new, old):
+            good = accept(new, old)
             calls[-1][2] = bool(good.all())
             return good
 
@@ -447,7 +414,7 @@ class TestEngineAgainstReference:
         monkeypatch.setattr(sde, "_accept", spy_accept)
         x0 = np.array([[1.0 + 1e-4, 1.0, 0.9]])
         dt = 1e-3
-        _, failed = evolve_ensemble(x0, SdeParams(eta=0.5), 20 * dt, dt, RandomSource(22), "eigen")
+        _, failed = evolve_ensemble(x0, SdeParams(eta=0.5), 20 * dt, dt, RandomSource(22))
         assert not failed.any()
         grid = [k for k, (h, _, _) in enumerate(calls) if h == dt]
         assert len(grid) == 20 and len(calls) > 20
@@ -614,7 +581,7 @@ class TestGenerator:
         delta = 1e-3
         n = 30_000
         ens, failed = evolve_ensemble(
-            np.tile(x0, (n, 1)), PLAIN, delta, delta / 5, RandomSource(13), "eigen"
+            np.tile(x0, (n, 1)), PLAIN, delta, delta / 5, RandomSource(13)
         )
         assert not failed.any()
         f = sum_sq()
