@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from hardedge.errors import DomainError, StepFailure
 from hardedge.rng import RandomSource, ZeroNoise
 from hardedge.sde import (
     SmoothFunction,
-    _matrix_step,
     eigen_drift,
     evolve_ensemble,
     evolve_matrix_ensemble,
@@ -46,8 +46,8 @@ def reference_evolve(x0, params, steps, dt, rng):
     for every row not yet frozen, propose, accept, re-integrate the rejected
     rows as two dt/2 halves whose increments split theirs at a Brownian-bridge
     midpoint (the second half only for rows that survived the first), freeze
-    them at depth 0; frozen rows keep their state and draw nothing.  Returns
-    (x, failed, rejections)."""
+    them at depth 0; a frozen row returns to its state at the start of the
+    step and draws nothing more.  Returns (x, failed, rejections)."""
 
     def advance(x, h, dw, depth):
         with np.errstate(over="ignore"):
@@ -74,6 +74,7 @@ def reference_evolve(x0, params, steps, dt, rng):
                 rejections += r2
             new[bad] = mid
             failed[bad] = f1
+        new[failed] = x[failed]
         return new, failed, rejections
 
     x = np.array(x0, dtype=float)
@@ -293,12 +294,15 @@ class TestEnsemble:
 
     def test_overflowing_proposal_freezes_without_warning(self):
         # a 5e-13 gap at dt = 1: the rejected proposals overflow exp, which
-        # the acceptance test handles, so numpy raises no warning
+        # the acceptance test handles, so numpy raises no warning.  The first
+        # half-step is accepted at ~1e202 before the second fails at every
+        # depth; the failed row still comes back at its start
         x0 = np.array([[1.0 + 5e-13, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out, failed = evolve_ensemble(x0, PLAIN, 1.0, 1.0, RandomSource(3))
-        assert failed.all() and np.isfinite(out).all()
+        assert failed.all()
+        np.testing.assert_array_equal(out, x0)
 
     def test_frozen_rows_stop_drawing(self):
         # the near-tie row freezes in the first step after all 40 halvings;
@@ -318,6 +322,11 @@ class TestEnsemble:
             evolve_ensemble(np.array([[2.0, 1.0]]), PLAIN, horizon, dt, RandomSource(8))
         with pytest.raises(DomainError):
             evolve_matrix_ensemble(np.diag([2.0, 1.0])[None], PLAIN, horizon, dt, RandomSource(8))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2, 3)])
+    def test_matrix_stack_must_be_square(self, shape):
+        with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
+            evolve_matrix_ensemble(np.ones(shape), PLAIN, 0.1, 1e-3, RandomSource(8))
 
 
 class TestEngineAgainstReference:
@@ -360,6 +369,8 @@ class TestEngineAgainstReference:
         x0 = np.array([[3.0, 2.0, 1.0]] * 3)
         failed, _ = self.check(x0, PLAIN, 3, 1e-3, lambda: ScriptedNoise(script))
         np.testing.assert_array_equal(failed, [True, False, False])
+        out, _ = evolve_ensemble(x0, PLAIN, 3e-3, 1e-3, ScriptedNoise(script))
+        np.testing.assert_array_equal(out[0], x0[0])
 
     def test_row_failing_after_another_froze(self):
         # a NaN increment poisons both of its bridge halves, so row 0 fails on
@@ -455,7 +466,8 @@ def step_mean(h, params, dt):
                     g = np.zeros((n, n), complex)
                     g[i, j] = sign * unit
                     points.append(g)
-    out = _matrix_step(np.tile(h, (len(points), 1, 1)), params, dt, ScriptedComplexNoise(np.array(points)))
+    noise = ScriptedComplexNoise(np.array(points))
+    out = evolve_matrix_ensemble(np.tile(h, (len(points), 1, 1)), params, dt, dt, noise)
     return out[0] + np.sum(out[1:] - out[0], axis=0) / 2.0
 
 
@@ -515,13 +527,20 @@ class TestMatrixStep:
         assert scaled[1] == pytest.approx(scaled[2], rel=0.05)
         assert scaled[0] == pytest.approx(scaled[2], rel=0.5)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_congruence_matches_its_expansion(self, n):
+    @pytest.mark.parametrize(
+        "n, lead",
+        [(1, (8,)), (2, (8,)), (3, (8,)), (4, (8,)), (5, (8,)), (3, (2, 4))],
+        ids=["1", "2", "3", "4", "5", "3-stacked-2x4"],
+    )
+    def test_congruence_matches_its_expansion(self, n, lead):
+        # every stack, 4-D included, draws one (8, n, n) block per step
         params, dt = SdeParams(eta=0.7), 1e-3
         gen = np.random.default_rng(n)
-        h = np.array([random_psd(n, gen) for _ in range(8)])
-        got = _matrix_step(h, params, dt, RandomSource(12, n))
-        dg = RandomSource(12, n).complex_normal(h.shape) * math.sqrt(2 * dt)
+        h = np.array([random_psd(n, gen) for _ in range(8)]).reshape(lead + (n, n))
+        draw = RandomSource(12, n).complex_normal((8, n, n))
+        got = evolve_matrix_ensemble(h, params, dt, dt, ScriptedComplexNoise(draw.copy()))
+        assert got.shape == h.shape
+        dg = draw.reshape(h.shape) * math.sqrt(2 * dt)
         dgh = np.conjugate(np.swapaxes(dg, -1, -2))
         c = (params.eta + n) / 4 * dt
         shifted = h + dt / 2 * np.eye(n)
