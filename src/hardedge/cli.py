@@ -134,16 +134,12 @@ def _nonnegative(value: int, key: str) -> int:
 
 
 def _resolve_seed(args, config: dict) -> int:
+    """--seed, else the ``seed`` key, else 0."""
     if args.seed is not None:
         return _nonnegative(args.seed, "--seed")
     if config.get("seed") is not None:
         return _nonnegative(config["seed"], "seed")
-    env = os.environ.get("HARDEDGE_SEED", "0")
-    try:
-        seed = int(env)
-    except ValueError:
-        raise ConfigError(f"HARDEDGE_SEED must be an integer, got {env!r}") from None
-    return _nonnegative(seed, "HARDEDGE_SEED")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +167,7 @@ def read_trajectory_csv(path: str):
 # ---------------------------------------------------------------------------
 
 # A command that writes one CSV file: make(cfg, rng) returns (file name,
-# header, rows).  A command that draws nothing has no ``stream`` key: it gets
-# rng=None and never resolves the seed, so a bad HARDEDGE_SEED cannot fail it.
+# header, rows).
 _Command = NamedTuple("_Command", [("help", str), ("keys", dict), ("make", Callable)])
 
 
@@ -180,8 +175,7 @@ def _simulate(cfg, rng):
     traj = simulate(
         OrderedConfig(cfg["initial"]),
         SdeParams(eta=cfg["eta"], rescaled=cfg["rescaled"]),
-        cfg["horizon"],
-        cfg["dt_max"],
+        cfg["dt"],
         cfg["save_times"],
         rng,
     )
@@ -217,10 +211,8 @@ _COMMANDS = {
             "initial": ("list", REQUIRED),
             "eta": ("float", 0.0),
             "rescaled": ("bool", False),
-            "dt_max": ("float", 1e-3),
-            "horizon": ("float", REQUIRED),
+            "dt": ("float", 1e-3),
             "save_times": ("list", REQUIRED),
-            "stream": ("int", 0),
         },
         _simulate,
     ),
@@ -230,7 +222,6 @@ _COMMANDS = {
             "x": ("list", REQUIRED),
             "K": ("int", REQUIRED),
             "n": ("int", REQUIRED),
-            "stream": ("int", 0),
         },
         _sample_kernel,
     ),
@@ -241,7 +232,6 @@ _COMMANDS = {
             "eta": ("float", REQUIRED),
             "n": ("int", REQUIRED),
             "inverse": ("bool", True),
-            "stream": ("int", 0),
         },
         _sample_equilibrium,
     ),
@@ -259,10 +249,7 @@ _COMMANDS = {
 def _cmd(args) -> int:
     command = _COMMANDS[args.command]
     cfg = _load_config(args, command.keys, args.command)
-    rng = None
-    if "stream" in cfg:
-        rng = RandomSource(_resolve_seed(args, cfg), _nonnegative(cfg["stream"], "stream"))
-    name, header, rows = command.make(cfg, rng)
+    name, header, rows = command.make(cfg, RandomSource(_resolve_seed(args, cfg)))
     out = os.path.join(args.out, name)
     _write_csv(out, header, rows)
     print(f"wrote {out}")
@@ -449,8 +436,6 @@ def main(argv=None) -> int:
                        help="override a config key")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (results are identical for any value)")
 
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
@@ -460,6 +445,8 @@ def main(argv=None) -> int:
     p_ex = sub.add_parser("experiment", help="run a named experiment")
     p_ex.add_argument("name", help=f"one of {sorted(_EXPERIMENTS)}")
     common(p_ex)
+    p_ex.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                      help="worker threads (results are identical for any value)")
     p_ex.set_defaults(func=_cmd_experiment)
 
     try:

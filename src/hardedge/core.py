@@ -11,7 +11,7 @@ collision experiments and the entire-function convergence checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -137,13 +137,10 @@ class SdeParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Saved states of one simulated path, with its seed, stream and law parameters."""
+    """Saved states of one simulated path."""
 
     times: Tuple[float, ...]
     states: Tuple[OrderedConfig, ...]
-    seed: int
-    stream: int
-    params: SdeParams = field(default_factory=SdeParams)
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)

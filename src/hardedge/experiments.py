@@ -110,6 +110,13 @@ def _seed_tuple(rng) -> tuple:
     return (getattr(rng, "master_seed", -1), getattr(rng, "stream", -1))
 
 
+def _survivors(rows: np.ndarray, failed: np.ndarray, experiment: str) -> np.ndarray:
+    """The rows whose replica did not fail; a StepFailure when none is left."""
+    if failed.all():
+        raise StepFailure(f"{experiment}: all {failed.size} replicas failed")
+    return rows[~failed]
+
+
 # ---------------------------------------------------------------------------
 # replica-block parallelism
 # ---------------------------------------------------------------------------
@@ -205,7 +212,7 @@ def run_intertwining(
         return a, b, fail_a, fail_b
 
     a, b, fail_a, fail_b = _run_blocks(n, worker, rng.child(1), threads)
-    a, b = a[~fail_a], b[~fail_b]
+    a, b = _survivors(a, fail_a, "intertwining"), _survivors(b, fail_b, "intertwining")
     stat, pvalue, null_sd = energy_permutation_test(a, b, n_perm, rng.child(2))
     ks = ks_per_coordinate(a[: min(len(a), len(b))], b[: min(len(a), len(b))])
 
@@ -322,21 +329,24 @@ def run_equilibrium(
     params = SdeParams(eta=eta, rescaled=False)
 
     def worker(block_rng, count):
-        """States at every grid time, shape (count, T, N), and which failed."""
+        """States at every grid time, shape (count, T, N), and which failed.
+        A replica that fails in one span is not stepped in later ones."""
         if x0 is None:
             state = inverse_laguerre_samples(N, eta, count, block_rng.child(999))
         else:
             state = np.tile(x0.values, (count, 1))
-        failed = np.zeros(count, bool)
+        live = np.arange(count)
         path = np.empty((count, len(t_grid), state.shape[1]))
         for k, span in enumerate(np.diff(t_grid, prepend=0.0)):
             state, f = evolve_ensemble(state, params, span, dt, block_rng)
-            failed |= f
-            path[:, k] = state
+            path[live, k] = state
+            live, state = live[~f], state[~f]
+        failed = np.ones(count, bool)
+        failed[live] = False
         return path, failed
 
     paths, failed = _run_blocks(n, worker, rng.child(1), threads)
-    paths = paths[~failed]
+    paths = _survivors(paths, failed, "equilibrium")
     stats_t, ps_t, sds_t = [], [], []
     for k in range(len(t_grid)):
         ref = inverse_laguerre_samples(N, eta, n, rng.child(100 + k))
@@ -669,7 +679,7 @@ def run_matrix_eigen_agreement(
     sub_rng = rng.child(1)
     a = _run_blocks(n, matrix_worker, sub_rng.child(0), threads)
     b, fail = _run_blocks(n, particle_worker, sub_rng.child(1), threads)
-    ks = ks_per_coordinate(a, b[~fail])
+    ks = ks_per_coordinate(a, _survivors(b, fail, "matrix_eigen_agreement"))
     bonferroni = ALPHA / N
     statistics = {
         **{f"ks_pvalue_coord{k + 1}": float(p) for k, p in enumerate(ks)},

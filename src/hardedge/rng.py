@@ -68,9 +68,6 @@ class RandomSource:
 class ZeroNoise:
     """Drop-in noise source that returns zeros; turns SDE steppers into ODE steps."""
 
-    master_seed = -1
-    stream = -1
-
     def child(self, *indices):
         return self
 

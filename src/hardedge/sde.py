@@ -187,21 +187,20 @@ def evolve_ensemble(
     x = np.array(states, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
+    out, live = x, np.arange(x.shape[0])
     failed = np.zeros(x.shape[0], dtype=bool)
     with np.errstate(over="ignore"):
         for step in _time_steps(horizon, dt):
-            if failed.any():
-                live = np.nonzero(~failed)[0]
-                dw = rng.standard_normal((live.size, x.shape[1])) * math.sqrt(step)
-                x[live], fail_now = _advance_batch(x[live], step, dw, rng, params)
-                if fail_now is not None:
-                    failed[live[fail_now]] = True
-            else:
-                dw = rng.standard_normal(x.shape) * math.sqrt(step)
-                x, fail_now = _advance_batch(x, step, dw, rng, params)
-                if fail_now is not None:
-                    failed = fail_now
-    return x, failed
+            if not live.size:
+                break
+            dw = rng.standard_normal(x.shape) * math.sqrt(step)
+            x, fail_now = _advance_batch(x, step, dw, rng, params)
+            if fail_now is not None and fail_now.any():
+                out[live[fail_now]] = x[fail_now]
+                failed[live[fail_now]] = True
+                live, x = live[~fail_now], x[~fail_now]
+    out[live] = x
+    return out, failed
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +210,19 @@ def evolve_ensemble(
 def simulate(
     initial: OrderedConfig,
     params: SdeParams,
-    horizon: float,
     dt: float,
     save_times: Sequence[float],
     rng,
 ) -> Trajectory:
-    """Integrate one path on a dt grid and record the state at the requested times.
+    """Integrate one path on a dt grid up to the last save time and record the
+    state at each save time.
 
     Each grid step is a one-row :func:`evolve_ensemble` call; a step whose
     halving bottoms out raises :class:`StepFailure` at the step's start time.
     """
     save = [float(t) for t in save_times]
-    if not np.isfinite(horizon):
-        raise DomainError(f"need a finite horizon, got horizon={horizon}")
-    if any(not 0 <= t <= horizon for t in save) or np.any(np.diff(save) <= 0):
-        raise DomainError("save_times must be increasing within [0, horizon]")
+    if not all(np.isfinite(t) and t >= 0 for t in save) or np.any(np.diff(save) <= 0):
+        raise DomainError(f"save_times must be finite, >= 0 and strictly increasing, got {save}")
     if not (np.isfinite(dt) and dt > 0):
         raise DomainError(f"need a finite dt > 0, got dt={dt}")
     times = [0.0]
@@ -245,13 +242,7 @@ def simulate(
             t += step
         times.append(target)
         states.append(OrderedConfig(x[0]))
-    return Trajectory(
-        times=tuple(times),
-        states=tuple(states),
-        seed=getattr(rng, "master_seed", -1),
-        stream=getattr(rng, "stream", -1),
-        params=params,
-    )
+    return Trajectory(times=tuple(times), states=tuple(states))
 
 
 # ---------------------------------------------------------------------------

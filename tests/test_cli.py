@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,6 @@ class TestSimulate:
             json.dumps(
                 {
                     "initial": [3.0, 2.0, 1.0],
-                    "horizon": 0.02,
                     "save_times": [0.01, 0.02],
                     "eta": 0.5,
                 }
@@ -44,10 +44,9 @@ class TestSimulate:
         traj = sim(
             OrderedConfig([3.0, 2.0, 1.0]),
             SdeParams(eta=0.5),
-            0.02,
             1e-3,
             [0.01, 0.02],
-            RandomSource(7, 0),
+            RandomSource(7),
         )
         np.testing.assert_array_equal(states, np.array([s.values for s in traj.states]))
         # rerun in a second directory: identical bytes, full precision survives
@@ -65,12 +64,9 @@ class TestSimulate:
     def test_set_override_wins(self, tmp_path):
         cfg = tmp_path / "sim.json"
         cfg.write_text(
-            json.dumps({"initial": [1.0], "horizon": 0.01, "save_times": [0.01]})
+            json.dumps({"initial": [1.0], "save_times": [0.01]})
         )
-        code = run_cli(
-            tmp_path, "simulate", "--config", str(cfg), "--set", "horizon=0.005",
-            "--set", "save_times=[0.005]",
-        )
+        code = run_cli(tmp_path, "simulate", "--config", str(cfg), "--set", "save_times=[0.005]")
         assert code == 0
         _, times, _ = read_trajectory_csv(tmp_path / "trajectory.csv")
         np.testing.assert_array_equal(times, [0.0, 0.005])
@@ -80,7 +76,7 @@ class TestSimulate:
         for key, value in (("bogus", 1), ("integrator", "log")):
             cfg = tmp_path / "sim.json"
             cfg.write_text(
-                json.dumps({"initial": [1.0], "horizon": 0.01, "save_times": [0.01], key: value})
+                json.dumps({"initial": [1.0], "save_times": [0.01], key: value})
             )
             assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 1
             assert f"unknown config keys [{key!r}]" in capsys.readouterr().err
@@ -89,33 +85,38 @@ class TestSimulate:
         # the rejected proposals overflow exp on the way; stderr holds only the error
         code = run_cli(
             tmp_path, "simulate", "--seed", "3", "--set", "initial=[1.0000000000005, 1.0]",
-            "--set", "horizon=1.0", "--set", "save_times=[1.0]", "--set", "dt_max=1.0",
+            "--set", "save_times=[1.0]", "--set", "dt=1.0",
         )
         assert code == 2
         assert capsys.readouterr().err.splitlines() == ["error: step failed at t=0"]
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_seed_defaults_to_zero(self, tmp_path, monkeypatch):
+        # the environment is not a seed source
+        monkeypatch.setenv("HARDEDGE_SEED", "5")
+        args = ["simulate", "--set", "initial=[3,2,1]", "--set", "save_times=[0.01]"]
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        assert main([*args, "--out", str(a_dir)]) == 0
+        assert main([*args, "--seed", "0", "--out", str(b_dir)]) == 0
+        assert (a_dir / "trajectory.csv").read_bytes() == (b_dir / "trajectory.csv").read_bytes()
+
     def test_missing_required_key(self, tmp_path):
         cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"horizon": 0.01, "save_times": [0.01]}))
+        cfg.write_text(json.dumps({"save_times": [0.01]}))
         assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 1
 
     @pytest.mark.parametrize(
-        "horizon, save_times, named",
-        [
-            ("NaN", "[0.01]", "finite horizon"),
-            ("Infinity", "[0.01]", "finite horizon"),
-            ("0.02", "[NaN]", "save_times"),
-        ],
-        ids=["nan-horizon", "inf-horizon", "nan-save-time"],
+        "save_times",
+        ["[0.01, NaN]", "[0.01, Infinity]", "[NaN]", "[-0.1, 0.01]"],
+        # the last save time is the path's horizon
+        ids=["nan-horizon", "inf-horizon", "nan-save-time", "negative-save-time"],
     )
-    def test_nonfinite_times_are_typed_errors(self, tmp_path, capsys, horizon, save_times, named):
+    def test_nonfinite_times_are_typed_errors(self, tmp_path, capsys, save_times):
         code = run_cli(
-            tmp_path, "simulate", "--set", "initial=[1.0]", "--set", f"horizon={horizon}",
-            "--set", f"save_times={save_times}",
+            tmp_path, "simulate", "--set", "initial=[1.0]", "--set", f"save_times={save_times}"
         )
         assert code == 2
-        assert named in capsys.readouterr().err
+        assert "save_times" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -215,10 +216,6 @@ class TestKernelTable:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "kernel.csv").exists()
 
-    def test_invalid_env_seed_is_never_read(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARDEDGE_SEED", "not-a-number")
-        assert run_cli(tmp_path, "kernel-table", "--set", "eta=1.0", "--set", "grid=[0.5]") == 0
-
 
 class TestConfigKinds:
     @pytest.mark.parametrize(
@@ -241,10 +238,8 @@ class TestConfigKinds:
              "--set", "n=10", "--set", 'bins=[0.1,"a"]'],
             ["experiment", "intertwining", "--set", 'x=[3,2,"a"]', "--set", "t=0.05",
              "--set", "n=10"],
-            ["simulate", "--set", 'initial=[3,"x"]', "--set", "horizon=0.1",
-             "--set", "save_times=[0.1]"],
-            ["simulate", "--set", "initial=[3,true]", "--set", "horizon=0.1",
-             "--set", "save_times=[0.1]"],
+            ["simulate", "--set", 'initial=[3,"x"]', "--set", "save_times=[0.1]"],
+            ["simulate", "--set", "initial=[3,true]", "--set", "save_times=[0.1]"],
             ["experiment", "uniform-approx", "--set", "sizes=[4,null]", "--set", "n=10"],
         ],
         ids=["string-bin", "string-x", "string-initial", "boolean-initial", "null-size"],
@@ -254,26 +249,39 @@ class TestConfigKinds:
         assert "expected list of numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, env, named",
-        [
-            (["experiment", "uniform-approx", "--seed", "-1"], None, "--seed"),
-            (["experiment", "uniform-approx", "--set", "seed=-1"], None, "seed"),
-            (["experiment", "uniform-approx"], "-5", "HARDEDGE_SEED"),
-            (["sample-kernel", "--set", "stream=-1", "--set", "x=[2,1]", "--set", "K=1"], None,
-             "stream"),
-        ],
-        ids=["flag", "config-key", "environment", "stream"],
+        "argv, named",
+        [(["--seed", "-1"], "--seed"), (["--set", "seed=-1"], "seed")],
+        ids=["flag", "config-key"],
     )
-    def test_negative_seed_is_a_config_error(
-        self, tmp_path, capsys, monkeypatch, argv, env, named
-    ):
-        monkeypatch.delenv("HARDEDGE_SEED", raising=False)
-        if env is not None:
-            monkeypatch.setenv("HARDEDGE_SEED", env)
-        if argv[0] == "experiment":
-            argv = [*argv, "--set", "sizes=[4]"]
-        assert run_cli(tmp_path, *argv, "--set", "n=10") == 1
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, argv, named):
+        argv = ["experiment", "uniform-approx", *argv, "--set", "sizes=[4]", "--set", "n=10"]
+        assert run_cli(tmp_path, *argv) == 1
         assert f"config error: {named} must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--set", "horizon=1"],
+            ["simulate", "--set", "stream=0"],
+            ["simulate", "--set", "dt_max=0.001"],
+            ["sample-kernel", "--set", "x=[2,1]", "--set", "K=1", "--set", "n=10",
+             "--set", "stream=0"],
+            ["sample-equilibrium", "--set", "N=2", "--set", "eta=1", "--set", "n=10",
+             "--set", "stream=0"],
+        ],
+        ids=["horizon", "simulate-stream", "dt_max", "sample-kernel-stream",
+             "sample-equilibrium-stream"],
+    )
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, argv):
+        if argv[0] == "simulate":
+            argv = [*argv, "--set", "initial=[2,1]", "--set", "save_times=[0.01]"]
+        assert run_cli(tmp_path, *argv) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sample-kernel", "sample-equilibrium",
+                                         "kernel-table"])
+    def test_threads_is_an_experiment_flag_only(self, tmp_path, command):
+        assert run_cli(tmp_path, command, "--threads", "2") == 1
 
 
 class TestExperimentCommand:
@@ -304,17 +312,6 @@ class TestExperimentCommand:
 
     def test_unknown_experiment(self, tmp_path):
         assert run_cli(tmp_path, "experiment", "nope") == 1
-
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARDEDGE_SEED", "99")
-        code = run_cli(
-            tmp_path, "experiment", "collision-bound",
-            "--set", "sizes=[2]", "--set", "delta=0.05", "--set", "eps=0.1",
-            "--set", "t=0.01", "--set", "n=100",
-        )
-        assert code == 0
-        doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["seeds"] == [99, 0]
 
     def test_report_identical_across_thread_counts(self, tmp_path):
         args = [
@@ -494,6 +491,31 @@ class TestExperimentTable:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         listing = re.search(r"Experiment names:(.*?)\n\n", readme, re.S).group(1)
         assert re.findall(r"`([a-z0-9-]+)`", listing) == list(_EXPERIMENTS)
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``hardedge`` command of README's Command line sh block, with
+    continuation lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("hardedge ")
+    ]
+
+
+class TestReadmeExamples:
+    def test_five_examples(self):
+        assert [argv[0] for argv in _readme_commands()] == [
+            "simulate", "sample-kernel", "sample-equilibrium", "kernel-table", "experiment",
+        ]
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+    def test_example_runs(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
 
 
 class TestImport:

@@ -98,15 +98,13 @@ class TestTrajectory:
     def test_times_must_start_at_zero(self):
         c = OrderedConfig([1.0])
         with pytest.raises(DomainError):
-            Trajectory(times=(0.5, 1.0), states=(c, c), seed=0, stream=0)
+            Trajectory(times=(0.5, 1.0), states=(c, c))
 
     def test_shared_n(self):
         with pytest.raises(DomainError):
             Trajectory(
                 times=(0.0, 1.0),
                 states=(OrderedConfig([1.0]), OrderedConfig([2.0, 1.0])),
-                seed=0,
-                stream=0,
             )
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardedge.core import OmegaPlusPoint, OrderedConfig
-from hardedge.errors import DomainError, ParameterError
+from hardedge.errors import DomainError, ParameterError, StepFailure
 from hardedge.experiments import (
     ExperimentReport,
     bump_function,
@@ -15,6 +15,10 @@ from hardedge.experiments import (
     run_uniform_approx,
 )
 from hardedge.rng import RandomSource
+
+
+# a 1-ulp gap at dt = 1 fails at every depth of halving, whatever the noise
+ULP_GAP = OrderedConfig([np.nextafter(1.0, 2.0), 1.0])
 
 
 class TestExperimentReport:
@@ -85,6 +89,10 @@ class TestIntertwining:
         )
         assert a.to_json() == b.to_json()
 
+    def test_every_replica_failed_is_a_step_failure(self):
+        with pytest.raises(StepFailure, match="intertwining: all 4 replicas failed"):
+            run_intertwining(ULP_GAP, 1.0, 0.0, 4, RandomSource(1), dt=1.0, n_perm=200)
+
 
 class TestUniformApprox:
     def test_shrinking_differences(self):
@@ -138,6 +146,23 @@ class TestEquilibrium:
     def test_eta_at_or_below_minus_one_is_named(self, eta):
         with pytest.raises(ParameterError, match=f"need eta > -1, got {eta}"):
             run_equilibrium(1, eta, OrderedConfig([3.0]), [0.1], 10, RandomSource(29))
+
+    @pytest.mark.parametrize("t_grid", [[0.01], [0.01, 0.02, 0.03]])
+    def test_failed_replicas_are_not_stepped_again(self, monkeypatch, t_grid):
+        # every replica fails in the first span, after one draw and 40 halving
+        # draws; later spans draw nothing
+        calls = []
+        draw = RandomSource.standard_normal
+
+        def counted(self, size=None):
+            calls.append(size)
+            return draw(self, size)
+
+        monkeypatch.setattr(RandomSource, "standard_normal", counted)
+        x0 = OrderedConfig([1 + 1e-15, 1.0])
+        with pytest.raises(StepFailure, match="equilibrium: all 4 replicas failed"):
+            run_equilibrium(2, 1.0, x0, t_grid, 4, RandomSource(1), dt=0.01, n_perm=200)
+        assert len(calls) == 41
 
 
 class TestCouplingL2:
@@ -251,3 +276,8 @@ class TestMatrixEigenAgreement:
     def test_interior_precondition(self):
         with pytest.raises(DomainError):
             run_matrix_eigen_agreement(2, 0.0, OrderedConfig([1.0, 1.0]), 0.1, 100, RandomSource(39))
+
+    def test_every_replica_failed_is_a_step_failure(self):
+        match = "matrix_eigen_agreement: all 4 replicas failed"
+        with pytest.raises(StepFailure, match=match):
+            run_matrix_eigen_agreement(2, 0.0, ULP_GAP, 1.0, 4, RandomSource(1), dt=1.0)

@@ -174,7 +174,6 @@ class TestSimulate:
         traj = simulate(
             OrderedConfig([3.0, 2.0, 1.0]),
             SdeParams(eta=0.5),
-            horizon=0.2,
             dt=1e-3,
             save_times=[0.05, 0.1, 0.2],
             rng=RandomSource(7),
@@ -186,7 +185,6 @@ class TestSimulate:
     def test_zero_noise_is_deterministic(self):
         kw = dict(
             params=SdeParams(eta=1.0),
-            horizon=0.1,
             dt=1e-3,
             save_times=[0.1],
         )
@@ -197,7 +195,6 @@ class TestSimulate:
     def test_seeded_reproducibility(self):
         kw = dict(
             params=SdeParams(eta=0.0),
-            horizon=0.05,
             dt=1e-3,
             save_times=[0.05],
         )
@@ -206,12 +203,13 @@ class TestSimulate:
         np.testing.assert_array_equal(a.states[-1].values, b.states[-1].values)
 
     def test_save_time_validation(self):
-        with pytest.raises(DomainError):
-            simulate(OrderedConfig([1.0]), PLAIN, 1.0, 1e-3, [2.0], ZeroNoise())
+        for save in ([math.nan], [0.1, math.inf], [-0.1], [0.2, 0.1], [0.1, 0.1]):
+            with pytest.raises(DomainError, match="save_times"):
+                simulate(OrderedConfig([1.0]), PLAIN, 1e-3, save, ZeroNoise())
 
     def test_requires_interior(self):
         with pytest.raises(DomainError, match=r"x\[0\] = x\[1\] = 1\.0"):
-            simulate(OrderedConfig([1.0, 1.0]), PLAIN, 0.01, 1e-3, [0.01], ZeroNoise())
+            simulate(OrderedConfig([1.0, 1.0]), PLAIN, 1e-3, [0.01], ZeroNoise())
 
     def test_step_failure_reports_the_start_of_the_failing_step(self):
         # the first half-step is accepted at ~1e202 before the rest fails;
@@ -220,7 +218,7 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepFailure) as info:
-                simulate(cfg, PLAIN, 1.0, 1.0, [1.0], RandomSource(3))
+                simulate(cfg, PLAIN, 1.0, [1.0], RandomSource(3))
         assert info.value.time == 0.0
 
     @pytest.mark.parametrize(
@@ -232,7 +230,7 @@ class TestSimulate:
         steps, dt = 20, 1e-3
         params = SdeParams(eta=0.5)
         rng = CountingNoise(23, 1)
-        traj = simulate(OrderedConfig(x0), params, steps * dt, dt, [steps * dt], rng)
+        traj = simulate(OrderedConfig(x0), params, dt, [steps * dt], rng)
         ens, failed = evolve_ensemble(np.array([x0]), params, steps * dt, dt, RandomSource(23, 1))
         assert not failed.any()
         np.testing.assert_array_equal(traj.states[-1].values, ens[0])
