@@ -9,4 +9,4 @@ from .core import (  # noqa: F401
     Trajectory,
     embed,
 )
-from .rng import RandomSource, ZeroNoise  # noqa: F401
+from .rng import RandomSource  # noqa: F401

@@ -465,13 +465,13 @@ def run_coupling_l2(
     with np.errstate(over="ignore"):
         for s, step in enumerate(steps):
             for m, x in states.items():
-                dw = increments[s, None, :m]
-                new, failed = _advance_batch(x[None], step, dw, bridges[m], params)
+                dw = increments[s, :m, None]
+                new, failed = _advance_batch(x[:, None], step, dw, bridges[m], params)
                 if failed is not None:
                     if failed[0]:
                         raise StepFailure(f"coupling integration failed for N={m}", time=s * dt)
                     halved += 1
-                states[m] = new[0]
+                states[m] = new[:, 0]
             for a, b in pairs:
                 sup_disc[(a, b)] = max(sup_disc[(a, b)], pair_disc(states[a], states[b]))
 

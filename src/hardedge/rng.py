@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RandomSource", "ZeroNoise"]
+__all__ = ["RandomSource"]
 
 
 def _seed_sequence(master_seed, path):
@@ -63,13 +63,3 @@ class RandomSource:
 
     def __repr__(self):
         return f"RandomSource(master_seed={self.master_seed}, stream={self.stream})"
-
-
-class ZeroNoise:
-    """Drop-in noise source that returns zeros; turns SDE steppers into ODE steps."""
-
-    def child(self, *indices):
-        return self
-
-    def standard_normal(self, size=None):
-        return 0.0 if size is None else np.zeros(size)

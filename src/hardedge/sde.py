@@ -12,10 +12,13 @@ or is not finite and positive is rejected, and the interval is re-integrated
 as two halves whose increments split the rejected one at a Brownian-bridge
 midpoint (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997), so the Brownian path
 is preserved and paths driven by shared increments stay coupled.  A row that
-still fails comes back at its state at the start of the grid step.  A
-matrix-valued integrator, whose congruence step keeps every state positive
-semidefinite and contracts batch-last (N, N, n) stacks, and the action of
-the infinitesimal generator complete the set of finite-N diagnostics.
+still fails comes back at its state at the start of the grid step.  The
+engine steps its replicas batch-last, as one (N, n) stack with the replicas
+contiguous along each coordinate, and the drifts take coordinate-first
+(N, ...) stacks.  A matrix-valued integrator, whose congruence step keeps
+every state positive semidefinite and contracts batch-last (N, N, n)
+stacks, and the action of the infinitesimal generator complete the set of
+finite-N diagnostics.
 """
 
 from __future__ import annotations
@@ -72,12 +75,13 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh (x_i, x_j) arrays over the off-diagonal pairs, shaped (..., N, N-1);
-    summing a pair term over the last axis adds it up over j != i in increasing j.
-    The drifts compute their terms in these two buffers: at large N, fresh
-    (..., N, N-1) temporaries would cost more than the arithmetic."""
-    i, j = _pair_index(x.shape[-1])
-    return x[..., i], x[..., j]
+    """Fresh (x_i, x_j) arrays over the off-diagonal pairs of a coordinate-first
+    (N, ...) stack, shaped (N, N-1, ...); summing a pair term over axis 1 adds
+    it up over j != i in increasing j.  The drifts compute their terms in these
+    two buffers: at large N, fresh (N, N-1, ...) temporaries would cost more
+    than the arithmetic."""
+    i, j = _pair_index(x.shape[0])
+    return x.take(i, axis=0), x.take(j, axis=0)
 
 
 def _constant_drift(n: int, params: SdeParams) -> float:
@@ -85,19 +89,21 @@ def _constant_drift(n: int, params: SdeParams) -> float:
 
 
 def eigen_drift(x: np.ndarray, params: SdeParams) -> np.ndarray:
-    """Full drift of the eigenvalue SDE at x (batched over leading axes)."""
-    n = x.shape[-1]
+    """Full drift of the eigenvalue SDE at a configuration x of shape (N,),
+    or at a coordinate-first (N, ...) stack of them."""
+    n = x.shape[0]
     xi, xj = _pairs(x)
     diff = xi - xj
-    interaction = np.divide(np.multiply(xi, xj, out=xi), diff, out=xi).sum(axis=-1)
+    interaction = np.divide(np.multiply(xi, xj, out=xi), diff, out=xi).sum(axis=1)
     return -(params.eta / 2.0) * x + _constant_drift(n, params) + interaction
 
 
 def log_drift(x: np.ndarray, params: SdeParams) -> np.ndarray:
-    """Drift of the log-coordinate SDE, expressed through x = exp(y)."""
-    n = x.shape[-1]
+    """Drift of the log-coordinate SDE, expressed through x = exp(y), at a
+    configuration of shape (N,) or a coordinate-first (N, ...) stack."""
+    n = x.shape[0]
     xi, xj = _pairs(x)
-    interaction = np.divide(xj, np.subtract(xi, xj, out=xi), out=xi).sum(axis=-1)
+    interaction = np.divide(xj, np.subtract(xi, xj, out=xi), out=xi).sum(axis=1)
     return -(1.0 + params.eta) / 2.0 + _constant_drift(n, params) / x + interaction
 
 
@@ -110,51 +116,55 @@ def _propose(x: np.ndarray, dt: float, dw: np.ndarray, params: SdeParams):
 
 
 def _accept(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """Entrywise acceptance; a row is accepted when all its entries are."""
+    """Entrywise acceptance of an (N, b) proposal; column r is accepted when
+    all of ``good[:, r]`` is."""
     good = np.isfinite(new)
-    good[..., :-1] &= new[..., :-1] - new[..., 1:] > _GAP_SAFETY * (old[..., :-1] - old[..., 1:])
+    good[:-1] &= new[:-1] - new[1:] > _GAP_SAFETY * (old[:-1] - old[1:])
     # x exp(.) is positive unless the exp underflows to zero
-    good[..., -1] &= new[..., -1] > 0.0
+    good[-1] &= new[-1] > 0.0
     return good
 
 
 def _advance_batch(x, dt, dw, rng, params, depth=_MAX_HALVINGS):
-    """Advance all rows by dt on their Brownian increments dw.  Returns
-    (new_x, failed_mask), the mask None when every row was accepted at the
-    first proposal.  Callers enter ``np.errstate(over="ignore")`` once around
-    their stepping loop: a proposal whose exp overflows is inf, which the
-    acceptance test rejects, so numpy's warning would say nothing more.
+    """Advance the b replicas of a C-contiguous (N, b) stack by dt on their
+    (N, b) Brownian increments dw.  Returns (new_x, failed_mask), the mask
+    (b,) and None when every replica was accepted at the first proposal.
+    Callers enter ``np.errstate(over="ignore")`` once around their stepping
+    loop: a proposal whose exp overflows is inf, which the acceptance test
+    rejects, so numpy's warning would say nothing more.
 
-    A rejected row is re-integrated as two dt/2 halves: the first takes the
-    bridge midpoint dw/2 + sqrt(dt/4) Z (one draw over the rejected rows),
-    the second the rest of dw, so a halved row still moves by its own
-    increment.  A row still rejected after ``depth`` halvings is flagged failed
-    and returned at its state at the start of dt.
+    A rejected replica is re-integrated as two dt/2 halves: the first takes
+    the bridge midpoint dw/2 + sqrt(dt/4) Z (one (rejected, N) draw, copied
+    batch-last), the second the rest of dw, so a halved replica still moves
+    by its own increment.  A replica still rejected after ``depth`` halvings
+    is flagged failed and returned at its state at the start of dt.
     """
     prop = _propose(x, dt, dw, params)
     good = _accept(prop, x)
     if good.all():
         return prop, None
-    bad = np.nonzero(~good.all(axis=-1))[0]
-    failed = np.zeros(x.shape[0], dtype=bool)
+    bad = np.nonzero(~good.all(axis=0))[0]
+    failed = np.zeros(x.shape[1], dtype=bool)
     if depth <= 0:
         failed[bad] = True
     else:
-        rejected = dw[bad]
-        first = rejected / 2.0 + rng.standard_normal(rejected.shape) * math.sqrt(dt / 4.0)
+        rejected = dw.take(bad, axis=1)
+        z = rng.standard_normal((bad.size, x.shape[0]))
+        first = rejected / 2.0 + np.multiply(z.T, math.sqrt(dt / 4.0), order="C")
         second = rejected - first
-        sub, f1 = _advance_batch(x[bad], dt / 2.0, first, rng, params, depth - 1)
+        sub, f1 = _advance_batch(x.take(bad, axis=1), dt / 2.0, first, rng, params, depth - 1)
         f1 = np.zeros(bad.size, dtype=bool) if f1 is None else f1
         alive = np.nonzero(~f1)[0]
         if alive.size:
-            sub[alive], f2 = _advance_batch(
-                sub[alive], dt / 2.0, second[alive], rng, params, depth - 1
+            sub[:, alive], f2 = _advance_batch(
+                sub.take(alive, axis=1), dt / 2.0, second.take(alive, axis=1),
+                rng, params, depth - 1,
             )
             if f2 is not None:
                 f1[alive[f2]] = True
-        prop[bad] = sub
+        prop[:, bad] = sub
         failed[bad] = f1
-    prop[failed] = x[failed]
+    prop[:, failed] = x[:, failed]
     return prop, failed
 
 
@@ -183,23 +193,30 @@ def evolve_ensemble(
     mask marks them.  Frozen replicas draw no further noise.  Noise
     consumption is a deterministic function of the rng stream, so identical
     sources give identical ensembles.
+
+    The replicas are stepped batch-last: the ensemble is copied once on
+    entry into a C-contiguous (N, n) stack and once back on exit.  Each step
+    draws ``standard_normal((live, N))``, in row order, and copies it
+    batch-last while scaling it.
     """
-    x = np.array(states, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    out, live = x, np.arange(x.shape[0])
-    failed = np.zeros(x.shape[0], dtype=bool)
+    out = np.array(states, dtype=float)
+    if out.ndim == 1:
+        out = out[None, :]
+    live = np.arange(out.shape[0])
+    failed = np.zeros(out.shape[0], dtype=bool)
+    x = np.ascontiguousarray(out.T)
     with np.errstate(over="ignore"):
         for step in _time_steps(horizon, dt):
             if not live.size:
                 break
-            dw = rng.standard_normal(x.shape) * math.sqrt(step)
+            z = rng.standard_normal((live.size, x.shape[0]))
+            dw = np.multiply(z.T, math.sqrt(step), order="C")
             x, fail_now = _advance_batch(x, step, dw, rng, params)
             if fail_now is not None and fail_now.any():
-                out[live[fail_now]] = x[fail_now]
+                out[live[fail_now]] = x[:, fail_now].T
                 failed[live[fail_now]] = True
-                live, x = live[~fail_now], x[~fail_now]
-    out[live] = x
+                live, x = live[~fail_now], x.compress(~fail_now, axis=1)
+    out[live] = x.T
     return out, failed
 
 

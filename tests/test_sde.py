@@ -8,7 +8,7 @@ import pytest
 from hardedge import sde
 from hardedge.core import OrderedConfig, SdeParams
 from hardedge.errors import DomainError, StepFailure
-from hardedge.rng import RandomSource, ZeroNoise
+from hardedge.rng import RandomSource
 from hardedge.sde import (
     SmoothFunction,
     eigen_drift,
@@ -23,11 +23,12 @@ PLAIN = SdeParams(eta=0.0, rescaled=False)
 
 
 def drift_by_loops(x: np.ndarray, params: SdeParams, kind: str) -> np.ndarray:
-    """The eigen or log drift from its defining sums, one particle at a time,
-    adding the interaction terms over j != i in increasing j."""
+    """The eigen or log drift of a coordinate-first (N, ...) stack from its
+    defining sums, one particle at a time, adding the interaction terms over
+    j != i in increasing j."""
     out = np.empty_like(x)
-    for row in np.ndindex(x.shape[:-1]):
-        v = x[row]
+    for col in np.ndindex(x.shape[1:]):
+        v = x[(slice(None),) + col]
         c = 1.0 / (2.0 * v.size) if params.rescaled else 0.5
         for i in range(v.size):
             s = 0.0
@@ -35,23 +36,35 @@ def drift_by_loops(x: np.ndarray, params: SdeParams, kind: str) -> np.ndarray:
                 if j != i:
                     s += (v[i] * v[j] if kind == "eigen" else v[j]) / (v[i] - v[j])
             if kind == "eigen":
-                out[row + (i,)] = -(params.eta / 2.0) * v[i] + c + s
+                out[(i,) + col] = -(params.eta / 2.0) * v[i] + c + s
             else:
-                out[row + (i,)] = -(1.0 + params.eta) / 2.0 + c / v[i] + s
+                out[(i,) + col] = -(1.0 + params.eta) / 2.0 + c / v[i] + s
     return out
 
 
+def row_major_log_drift(x: np.ndarray, params: SdeParams) -> np.ndarray:
+    """The log drift of an (n, N) array of rows, its pair terms gathered
+    row-major as (n, N, N-1) and summed over the last axis."""
+    n = x.shape[-1]
+    i = np.repeat(np.arange(n), n - 1).reshape(n, n - 1)
+    j = np.array([[k for k in range(n) if k != m] for m in range(n)], dtype=int)
+    xi, xj = x[..., i], x[..., j]
+    c = 1.0 / (2.0 * n) if params.rescaled else 0.5
+    return -(1.0 + params.eta) / 2.0 + c / x + (xj / (xi - xj)).sum(axis=-1)
+
+
 def reference_evolve(x0, params, steps, dt, rng):
-    """The batched log-Euler engine written plainly: draw the grid increments
-    for every row not yet frozen, propose, accept, re-integrate the rejected
-    rows as two dt/2 halves whose increments split theirs at a Brownian-bridge
-    midpoint (the second half only for rows that survived the first), freeze
-    them at depth 0; a frozen row returns to its state at the start of the
-    step and draws nothing more.  Returns (x, failed, rejections)."""
+    """The batched log-Euler engine written plainly and row-major, on (n, N)
+    rows: draw the grid increments for every row not yet frozen, propose,
+    accept, re-integrate the rejected rows as two dt/2 halves whose
+    increments split theirs at a Brownian-bridge midpoint (the second half
+    only for rows that survived the first), freeze them at depth 0; a frozen
+    row returns to its state at the start of the step and draws nothing more.
+    Returns (x, failed, rejections)."""
 
     def advance(x, h, dw, depth):
         with np.errstate(over="ignore"):
-            prop = x * np.exp(dw + log_drift(x, params) * h)
+            prop = x * np.exp(dw + row_major_log_drift(x, params) * h)
         ok = np.all(np.isfinite(prop), axis=1) & (prop[:, -1] > 0.0)
         gaps = prop[:, :-1] - prop[:, 1:]
         ok &= np.all(gaps > 0.1 * (x[:, :-1] - x[:, 1:]), axis=1)
@@ -87,6 +100,13 @@ def reference_evolve(x0, params, steps, dt, rng):
         x[live], failed[live], r = advance(x[live], dt, dw, depth)
         rejections += r
     return x, failed, rejections
+
+
+class ZeroNoise:
+    """A noise source that returns zeros, which turns an SDE step into an ODE step."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
 
 
 class CountingNoise:
@@ -241,9 +261,11 @@ class TestDriftDefinition:
     PARAMS = (SdeParams(eta=0.0, rescaled=False), SdeParams(eta=1.3, rescaled=True))
 
     def configs(self, N):
+        # one configuration, then coordinate-first (N, 7) and (N, 2, 7) stacks
         rng = np.random.default_rng(N)
         for shape in ((N,), (7, N), (2, 7, N)):
-            yield -np.sort(-rng.uniform(0.1, 4.0, shape), axis=-1)
+            x = -np.sort(-rng.uniform(0.1, 4.0, shape), axis=-1)
+            yield np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5])
     def test_equals_defining_sums(self, N):
@@ -312,6 +334,24 @@ class TestEnsemble:
         np.testing.assert_array_equal(failed, [True, False, False, False])
         assert rng.calls == steps + 40
 
+    def test_each_grid_step_calls_the_module_drift_once(self, monkeypatch):
+        # the engine looks log_drift up on the sde module, where a wrapper
+        # (the benchmark's sde.drift span) sees one batch-last call per step
+        shapes = []
+        drift = sde.log_drift
+
+        def counting_drift(x, params):
+            shapes.append(x.shape)
+            return drift(x, params)
+
+        monkeypatch.setattr(sde, "log_drift", counting_drift)
+        steps, dt = 25, 1e-3
+        x0 = np.array([[3.0, 2.0, 1.0]] * 16)
+        rng = CountingNoise(8)
+        _, failed = evolve_ensemble(x0, SdeParams(eta=0.5), steps * dt, dt, rng)
+        assert not failed.any() and rng.calls == steps  # no step was halved
+        assert shapes == [(3, 16)] * steps
+
     @pytest.mark.parametrize(
         "horizon, dt", [(0.1, 0.0), (0.1, -0.1), (0.1, math.nan), (-0.1, 1e-3)]
     )
@@ -348,6 +388,25 @@ class TestEngineAgainstReference:
         params = SdeParams(eta=0.5)
         failed, rejections = self.check(x0, params, 20, 1e-3, lambda: RandomSource(22))
         assert rejections > 0 and not failed.any()
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 256])
+    @pytest.mark.parametrize("N", [1, 2, 3, 9, 16, 64])
+    def test_bit_identical_across_sizes_and_row_counts(self, N, rows):
+        # numpy sums the row-major pair terms pairwise on one row at N >= 9
+        # and in increasing j on two or more rows; the batch-last sum over
+        # axis 1 does the same, so drift and engine agree bit for bit
+        gen = np.random.default_rng(1000 * N + rows)
+        x0 = N - np.arange(N) + gen.uniform(-0.25, 0.25, (rows, N))
+        params = SdeParams(eta=0.5, rescaled=N % 2 == 0)
+        np.testing.assert_array_equal(
+            log_drift(np.ascontiguousarray(x0.T), params).T, row_major_log_drift(x0, params)
+        )
+        if N > 2:
+            # a near tie whose repulsion pushes x_1 through x_2, so row 0
+            # halves; at N = 2 the tied pair only moves apart
+            x0[0, 0] = x0[0, 1] * (1.0 + 1e-4)
+        failed, rejections = self.check(x0, params, 3, 1e-3, lambda: RandomSource(31, N))
+        assert not failed.any() and (rejections > 0) == (N > 2)
 
     def test_frozen_rows_mixed_with_healthy_rows(self):
         x0 = np.array([[1.0 + 1e-15, 1.0]] + [[2.0, 1.0]] * 3)
@@ -411,7 +470,7 @@ class TestEngineAgainstReference:
         propose, accept = sde._propose, sde._accept
 
         def spy_propose(x, dt, dw, params):
-            calls.append([dt, dw[0].copy(), False])
+            calls.append([dt, dw[:, 0].copy(), False])
             return propose(x, dt, dw, params)
 
         def spy_accept(new, old):
