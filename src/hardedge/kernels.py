@@ -23,7 +23,6 @@ from .errors import DegenerateKnots, DomainError, EigensolveFailure, NumericalIn
 __all__ = [
     "KnotVector",
     "spline_m",
-    "spline_m_tableau",
     "spline_m_derivative",
     "spline_m_tail_mass",
     "corner_samples",
@@ -32,7 +31,6 @@ __all__ = [
     "lambda_kn_density",
     "lambda_k2_cell_masses",
     "boundary_corner_samples",
-    "interlaces",
 ]
 
 # Determinant entries beyond this condition estimate are meaningless in
@@ -170,21 +168,6 @@ def spline_m(y, knots) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def spline_m_tableau(y, knots) -> float | np.ndarray:
-    """Newton-tableau evaluation of the same spline (cross-check route).
-
-    Divided differences of the truncated power over the knot multiset;
-    exact at ties but loses absolute accuracy ~1e-8 on clustered knots.
-    """
-    nodes, yarr, scalar = _spline_args(y, knots)
-    n = nodes.size
-    out = np.zeros_like(yarr)
-    inside = (yarr >= nodes[0]) & (yarr <= nodes[-1])
-    if np.any(inside):
-        out[inside] = (n - 1) * _divdiff_truncated_power(nodes, yarr[inside], n - 2)
-    return float(out[0]) if scalar else out
-
-
 def spline_m_tail_mass(y, knots) -> float | np.ndarray:
     """Exact upper-tail mass of the spline: integral of M over [y, infinity).
 
@@ -270,16 +253,6 @@ def corner_of_each(values: np.ndarray, rng) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     n, m = vals.shape
     return _compressed_spectrum(vals, _haar_frame(rng, (n, m, m - 1)))
-
-
-def interlaces(y, x, tol: float = 1e-10) -> bool:
-    """x_1 >= y_1 >= x_2 >= ... >= y_{N-1} >= x_N up to tol."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.size != x.size - 1:
-        return False
-    scale = max(abs(x[0]), 1.0)
-    return bool(np.all(x[:-1] >= y - tol * scale) and np.all(y >= x[1:] - tol * scale))
 
 
 # ---------------------------------------------------------------------------

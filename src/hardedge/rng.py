@@ -1,10 +1,14 @@
 """Reproducible random streams.
 
 Every stochastic routine in the package draws from a :class:`RandomSource`,
-which wraps a counter-based generator keyed by ``(master_seed, stream)``.
-Two sources built from the same key produce the same variate sequence no
-matter how many worker threads are running, so ensemble experiments assign
-one stream per replica (or per replica block) and aggregate in stream order.
+which wraps an SFC64 generator seeded from ``SeedSequence(master_seed,
+spawn_key=path)``, where the index path starts with ``stream``.  Two sources
+built from the same key produce the same variate sequence no matter how many
+worker threads are running, so ensemble experiments assign one stream per
+replica (or per replica block) and aggregate in stream order.
+
+Reports from commits before the switch to SFC64 were drawn from a Philox
+generator on the same keys, and differ from today's in every statistic.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ import numpy as np
 
 __all__ = ["RandomSource"]
 
-
-def _seed_sequence(master_seed, path):
-    return np.random.SeedSequence(master_seed, spawn_key=tuple(path))
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 class RandomSource:
@@ -31,7 +33,7 @@ class RandomSource:
         self.stream = int(stream)
         self._path = (int(stream),) + tuple(int(p) for p in _path)
         self._gen = np.random.Generator(
-            np.random.Philox(key=_seed_sequence(self.master_seed, self._path).generate_state(2, np.uint64))
+            np.random.SFC64(np.random.SeedSequence(self.master_seed, spawn_key=self._path))
         )
 
     def child(self, *indices):
@@ -43,10 +45,11 @@ class RandomSource:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 
-    def complex_normal(self, size=()):
-        """Standard complex Gaussians: Re and Im are independent N(0, 1/2)."""
+    def complex_normal(self, size=(), scale=1.0):
+        """``scale`` times standard complex Gaussians, whose Re and Im are
+        independent N(0, 1/2); the scaling is one multiply per draw."""
         g = self._gen.standard_normal(tuple(size) + (2,))
-        g *= 1.0 / np.sqrt(2.0)
+        g *= scale * _INV_SQRT2
         return g.view(complex)[..., 0]
 
     def gamma(self, shape, scale=1.0, size=None):

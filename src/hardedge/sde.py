@@ -283,14 +283,15 @@ def _matrix_step(h: np.ndarray, params: SdeParams, dt: float, rng) -> np.ndarray
     needs no projection.  The product is averaged with its conjugate
     transpose, so every state is exactly Hermitian.
 
-    G is drawn as a (b, N, N) stack and copied batch-last.  The two products
-    are einsum contractions over the batch axis, which at N <= 4 beat one
-    BLAS call per matrix, match it at N = 5 and lose to it from N = 8 up.
+    G is drawn as a (b, N, N) stack, already scaled by sqrt(2 dt)/2, and
+    copied batch-last.  The two products are einsum contractions over the
+    batch axis, which at N <= 4 beat one BLAS call per matrix, match it at
+    N = 5 and lose to it from N = 8 up.
     ``h`` is consumed: its diagonal is shifted in place.
     """
     n = h.shape[0]
-    g = rng.complex_normal((h.shape[-1], n, n)).transpose(1, 2, 0)
-    e = np.multiply(g, math.sqrt(2.0 * dt) / 2.0, order="C")
+    g = rng.complex_normal((h.shape[-1], n, n), math.sqrt(2.0 * dt) / 2.0)
+    e = np.copy(g.transpose(1, 2, 0), order="C")
     np.einsum("iib->ib", e)[...] += 1.0 - (params.eta + n) / 4.0 * dt
     np.einsum("iib->ib", h)[...] += dt / 2.0
     new = np.einsum("ijb,jkb->ikb", e, np.einsum("ijb,kjb->ikb", h, np.conjugate(e)))

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DomainError, EmptySample
 
 __all__ = [
-    "energy_distance",
     "energy_permutation_test",
     "ks_per_coordinate",
 ]
@@ -38,25 +37,6 @@ def _pairwise_distances(pool: np.ndarray) -> np.ndarray:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pool @ pool.T)
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2)
-
-
-def energy_distance(a, b) -> float:
-    """Energy statistic 2 E|A-B| - E|A-A'| - E|B-B'| (V-statistic form).
-
-    Zero exactly when the two samples coincide as multisets; O(n^2) in the
-    pooled size.
-    """
-    a = _as_2d(a)
-    b = _as_2d(b)
-    if a.shape[1] != b.shape[1]:
-        raise DomainError("samples must share the vector dimension")
-    pool = np.concatenate([a, b])
-    d = _pairwise_distances(pool)
-    na = a.shape[0]
-    dab = d[:na, na:].mean()
-    daa = d[:na, :na].mean()
-    dbb = d[na:, na:].mean()
-    return float(2.0 * dab - daa - dbb)
 
 
 def energy_permutation_test(a, b, n_perm: int, rng, max_points: int = 2500):

@@ -8,17 +8,43 @@ from hardedge.core import OmegaPlusPoint, OrderedConfig, embed
 from hardedge.errors import DegenerateKnots, DomainError, NumericalInstability, OrderTooHigh
 from hardedge.kernels import (
     KnotVector,
+    _divdiff_truncated_power,
     _haar_frame,
+    _spline_args,
     boundary_corner_samples,
     chain_samples,
     corner_samples,
-    interlaces,
     lambda_kn_density,
     spline_m,
     spline_m_derivative,
     spline_m_tail_mass,
 )
 from hardedge.rng import RandomSource
+
+
+def spline_m_tableau(y, knots):
+    """Newton-tableau evaluation of the spline (cross-check route).
+
+    Divided differences of the truncated power over the knot multiset;
+    exact at ties but loses absolute accuracy ~1e-8 on clustered knots.
+    """
+    nodes, yarr, scalar = _spline_args(y, knots)
+    n = nodes.size
+    out = np.zeros_like(yarr)
+    inside = (yarr >= nodes[0]) & (yarr <= nodes[-1])
+    if np.any(inside):
+        out[inside] = (n - 1) * _divdiff_truncated_power(nodes, yarr[inside], n - 2)
+    return float(out[0]) if scalar else out
+
+
+def interlaces(y, x, tol=1e-10):
+    """x_1 >= y_1 >= x_2 >= ... >= y_{N-1} >= x_N up to tol."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.size != x.size - 1:
+        return False
+    scale = max(abs(x[0]), 1.0)
+    return bool(np.all(x[:-1] >= y - tol * scale) and np.all(y >= x[1:] - tol * scale))
 
 
 def bspline_oracle(y, knots_desc):
@@ -58,8 +84,6 @@ class TestSplineM:
     def test_two_internal_routes_agree(self):
         # default positive-recurrence evaluator vs the Newton tableau;
         # the tableau carries ~1e-8 absolute noise on clustered knots
-        from hardedge.kernels import spline_m_tableau
-
         rng = np.random.default_rng(7)
         for n in (2, 4, 8, 12):
             x = np.sort(rng.uniform(0.0, 4.0, n))[::-1]

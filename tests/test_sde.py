@@ -494,15 +494,15 @@ class TestEngineAgainstReference:
 
 
 class ScriptedComplexNoise:
-    """Returns ``draws[call]`` as each call's complex normals."""
+    """Returns ``draws[call]``, times the call's scale, as its complex normals."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
 
-    def complex_normal(self, size):
+    def complex_normal(self, size, scale=1.0):
         draw = self.draws.pop(0)
         assert draw.shape == tuple(size)
-        return draw
+        return draw * scale
 
 
 def step_mean(h, params, dt):

@@ -5,11 +5,16 @@ from scipy.stats import ks_2samp
 
 from hardedge.errors import DomainError, EmptySample
 from hardedge.rng import RandomSource
-from hardedge.stats import (
-    energy_distance,
-    energy_permutation_test,
-    ks_per_coordinate,
-)
+from hardedge.stats import _pairwise_distances, energy_permutation_test, ks_per_coordinate
+
+
+def energy_distance(a, b):
+    """Energy statistic 2 E|A-B| - E|A-A'| - E|B-B'| (V-statistic form),
+    from block means of the pooled distance matrix rather than the
+    permutation test's quadratic form."""
+    d = _pairwise_distances(np.concatenate([a, b]))
+    na = a.shape[0]
+    return float(2.0 * d[:na, na:].mean() - d[:na, :na].mean() - d[na:, na:].mean())
 
 
 def null_calibration_pvalues(n_reps, n, dim, n_perm, rng, max_points=2500):
@@ -26,21 +31,23 @@ def null_calibration_pvalues(n_reps, n, dim, n_perm, rng, max_points=2500):
 class TestEnergyDistance:
     def test_identical_sets_zero(self):
         a = np.random.default_rng(0).normal(size=(50, 3))
-        assert energy_distance(a, a.copy()) == pytest.approx(0.0, abs=1e-12)
+        stat, _, _ = energy_permutation_test(a, a.copy(), 200, RandomSource(0))
+        assert stat == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_for_shifted(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(400, 2))
         b = rng.normal(size=(400, 2)) + 3.0
-        assert energy_distance(a, b) > 1.0
+        stat, _, _ = energy_permutation_test(a, b, 200, RandomSource(1))
+        assert stat > 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            energy_distance(np.zeros((5, 2)), np.zeros((5, 3)))
+            energy_permutation_test(np.zeros((5, 2)), np.zeros((5, 3)), 200, RandomSource(0))
 
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
-            energy_distance(np.zeros((0, 2)), np.zeros((5, 2)))
+            energy_permutation_test(np.zeros((0, 2)), np.zeros((5, 2)), 200, RandomSource(0))
 
 
 class TestPermutationTest:
