@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import DomainError, EmptySample
 
+_EPS = np.finfo(float).eps
+
 __all__ = [
     "energy_permutation_test",
     "ks_per_coordinate",
@@ -35,7 +37,10 @@ def _as_2d(a) -> np.ndarray:
 def _pairwise_distances(pool: np.ndarray) -> np.ndarray:
     sq = np.sum(pool**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pool @ pool.T)
-    np.maximum(d2, 0.0, out=d2)
+    # The Gram expansion errs by ~eps |x|^2, so a smaller d2 is rounding
+    # noise: zeroing it makes the diagonal, and the distance between
+    # coincident points, exactly 0 (and clips negative values).
+    np.copyto(d2, 0.0, where=d2 <= 4.0 * pool.shape[1] * _EPS * sq.max())
     return np.sqrt(d2)
 
 

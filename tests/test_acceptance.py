@@ -7,10 +7,10 @@ with the equilibrium ensemble it is compared against, as the companion
 diagnostic test demonstrates; all other criteria pass.
 
 Measured wall-clock of the whole Tier-1 run (unit and acceptance suites) on
-a 2-core VM with OPENBLAS_NUM_THREADS=1: 146 s.  The matrix agreement (C08,
-24 s), equilibrium (C10 19 s, C09 28 s), collision (C11, 21 s) and
-intertwining (C07, 9 s) ensembles take most of it; every other criterion
-takes under 5 s, C14 and its diagnostic 1.3 s each.
+a 2-core VM with OPENBLAS_NUM_THREADS=1: 148 s.  The matrix agreement (C08,
+24 s), equilibrium (C10 19 s, C09 23 s), collision (C11, 23 s) and
+intertwining (C07, 10 s) ensembles take most of it; every other criterion
+takes under 5 s, C14 and its diagnostic 0.7 s each.
 """
 
 import json

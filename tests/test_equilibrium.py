@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg.lapack import dstebz
 from scipy.special import gamma as gamma_fn
 from scipy.stats import invgamma, kstest
 
@@ -66,6 +67,7 @@ class TestInverseLaguerre:
         stat = kstest(vals, invgamma(2).cdf)
         assert stat.pvalue > 0.01
 
+    # the id "dstebz" stays for the top-k path, now a batch-last bisection
     @pytest.mark.parametrize("top", [None, 1], ids=["dsterf", "dstebz"])
     @pytest.mark.parametrize("eta", [-1.0, np.nan])
     def test_parameter_guard_names_eta(self, eta, top):
@@ -84,10 +86,12 @@ class TestInverseLaguerre:
 
 
 class TestNearEtaMinusOne:
+    # the id "dstebz" stays for the top-k path, now a batch-last bisection
     @pytest.mark.parametrize("top", [None, 1], ids=["dsterf", "dstebz"])
     def test_eigenvalue_at_or_below_zero_is_convergence_failure(self, top):
         # at eta = -0.9 a few of 300 rows have a smallest eigenvalue below
-        # the solvers' absolute error, and it comes out <= 0
+        # the solvers' absolute error: dsterf returns it <= 0, and the
+        # bisection meets a pivot <= 0 at zero
         match = r"<= 0 in \d+ of 300 rows \(eta=-0.9, N=2\)"
         with pytest.raises(ConvergenceFailure, match=match):
             inverse_laguerre_samples(2, -0.9, 300, RandomSource(0, 2), top=top)
@@ -134,18 +138,93 @@ class TestInverseLaguerreTop:
             inverse_laguerre_samples(N, 1.0, 3, NanGamma(), top=top)
 
     @pytest.mark.parametrize(
-        "name, result, top",
-        [
-            ("dsterf", (np.zeros(5), 1), None),
-            ("dstebz", (2, np.zeros(5), None, None, 1), 2),
-            ("dstebz", (1, np.zeros(5), None, None, 0), 2),
-        ],
-        ids=["dsterf-info", "dstebz-info", "dstebz-too-few"],
+        "name, result, top", [("dsterf", (np.zeros(5), 1), None)], ids=["dsterf-info"]
     )
     def test_lapack_failure_is_convergence_failure(self, monkeypatch, name, result, top):
         monkeypatch.setattr(equilibrium, name, lambda *args: result)
         with pytest.raises(ConvergenceFailure, match="eigensolve failed"):
             inverse_laguerre_samples(5, 1.0, 3, RandomSource(15), top=top)
+
+    def test_bisection_out_of_sweeps_is_convergence_failure(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_MAX_SWEEPS", 3)
+        with pytest.raises(ConvergenceFailure, match="did not converge in 3 sweeps"):
+            inverse_laguerre_samples(5, 1.0, 3, RandomSource(15), top=2)
+
+
+def laguerre_tridiagonal(N, eta, n, rng):
+    """The sampler's tridiagonal, row-major (main, off), from the same draws."""
+    diag_sq = rng.gamma(eta + N - np.arange(N), scale=2.0, size=(n, N))
+    sub_sq = rng.gamma(np.arange(N - 1, 0, -1, dtype=float), scale=2.0, size=(n, N - 1))
+    main = diag_sq.copy()
+    main[:, 1:] += sub_sq
+    return main, np.sqrt(diag_sq[:, :-1] * sub_sq)
+
+
+def batch_last(main, off):
+    """(d, e2) as the bisection takes them: (N, n) and (N-1, n)."""
+    return np.ascontiguousarray(main.T), np.ascontiguousarray((off**2).T)
+
+
+class TestBisection:
+    @pytest.mark.parametrize("eta", [-0.5, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "N, k", [(2, 1), (3, 1), (3, 2), (17, 1), (17, 16), (200, 1), (200, 199)]
+    )
+    def test_matches_dstebz(self, N, k, eta):
+        n = 20
+        top = inverse_laguerre_samples(N, eta, n, RandomSource(16, N), top=k)
+        main, off = laguerre_tridiagonal(N, eta, n, RandomSource(16, N))
+        tiny = 2.0 * np.finfo(float).tiny
+        lam = np.array(
+            [dstebz(main[r], off[r], 2, 0.0, 0.0, 1, k, tiny, "E")[1][:k] for r in range(n)]
+        )
+        # Both are Sturm-count bisections, exact to ~eps |T| absolute; at
+        # eta = -0.5, N = 200 that alone is ~5e-9 of the smallest eigenvalue
+        norm = main.max() + 2.0 * off.max(initial=0.0)
+        np.testing.assert_allclose(2.0 / top, lam, rtol=1e-9, atol=np.finfo(float).eps * norm)
+
+    def test_count_matches_eigvalsh_across_pivot_blocks(self):
+        # N = 60 spans three pivot blocks, so the carried pivot is exercised
+        N, n = 60, 7
+        main, off = laguerre_tridiagonal(N, 0.5, n, RandomSource(17))
+        d, e2 = batch_last(main, off)
+        lam = np.array([np.linalg.eigvalsh(np.diag(m) + np.diag(o, 1) + np.diag(o, -1))
+                        for m, o in zip(main, off)])
+        x = np.random.default_rng(0).uniform(0.0, lam.max(), size=(4, n))
+        want = (lam.T[:, None, :] < x).sum(axis=0)
+        np.testing.assert_array_equal(equilibrium._sturm_count(d, e2, x), want)
+
+    def test_exact_zero_pivot_counts_once_without_warning(self):
+        # the first pivot of T - 1 is exactly 0; e2/0 = inf must raise no
+        # RuntimeWarning (warnings are errors here) and be counted once
+        d = np.array([[1.0], [2.0], [3.0]])
+        e2 = np.array([[1.0], [1.0]])
+        T = np.diag(d[:, 0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+        want = np.count_nonzero(np.linalg.eigvalsh(T) < 1.0)
+        assert equilibrium._sturm_count(d, e2, np.array([[1.0]]))[0, 0] == want == 1
+        lam = equilibrium._bisect_smallest(d, e2, 2)[0]
+        np.testing.assert_allclose(lam[0], np.linalg.eigvalsh(T)[:2], rtol=1e-12)
+
+    def test_sweeps_stay_bounded(self):
+        # a relative width of 1e-12 from a bracket hi needs log2(hi / 1e-12
+        # lambda) sweeps: under 60 at N = 200 ...
+        main, off = laguerre_tridiagonal(200, 1.0, 100, RandomSource(18))
+        lam, sweeps = equilibrium._bisect_smallest(*batch_last(main, off), 3)
+        assert sweeps <= 60
+        # ... and about 140 for an eigenvalue of 5e-31, still far inside
+        # the sweep bound: T = B B^T with B = [[1e-15, 0], [1, 1]]
+        d, e2 = np.array([[1e-30], [2.0]]), np.array([[1e-30]])
+        lam, sweeps = equilibrium._bisect_smallest(d, e2, 1)
+        np.testing.assert_allclose(lam[0, 0], 5e-31, rtol=1e-10)
+        assert sweeps <= 145 < equilibrium._MAX_SWEEPS
+
+    def test_pivot_at_or_below_zero_marks_a_row(self):
+        # rows: positive definite, singular (last pivot 0), indefinite
+        d = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        e2 = np.array([[0.5, 1.0, 2.0]])
+        np.testing.assert_array_equal(
+            equilibrium._not_positive_definite(d, e2), [False, True, True]
+        )
 
 
 class TestBesselJ:

@@ -254,6 +254,19 @@ class TestHardEdge:
         assert rep.statistics["sup_rel_error_rescaled4"] < 0.35
         assert rep.statistics["sup_rel_error"] > rep.statistics["sup_rel_error_rescaled4"]
 
+    def test_small_report_is_pinned(self):
+        # values from the per-row LAPACK bisection that the batch-last one
+        # replaced: a changed eigensolver must not move a count
+        rep = run_hard_edge_density(
+            100, 1.0, 400, [0.1, 0.2, 0.3, 0.5, 1.0], RandomSource(23), min_count=50
+        )
+        assert rep.statistics["bins_used"] == 4.0
+        assert rep.statistics["min_bin_count"] == 96.0
+        assert rep.statistics["sup_rel_error"] == pytest.approx(0.3512802871237141, rel=1e-12)
+        assert rep.statistics["sup_rel_error_rescaled4"] == pytest.approx(
+            0.1819734345255775, rel=1e-12
+        )
+
     def test_needs_large_n(self):
         with pytest.raises(DomainError):
             run_hard_edge_density(50, 1.0, 100, np.linspace(0.1, 0.5, 5), RandomSource(36))

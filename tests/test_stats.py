@@ -10,11 +10,13 @@ from hardedge.stats import _pairwise_distances, energy_permutation_test, ks_per_
 
 def energy_distance(a, b):
     """Energy statistic 2 E|A-B| - E|A-A'| - E|B-B'| (V-statistic form),
-    from block means of the pooled distance matrix rather than the
-    permutation test's quadratic form."""
-    d = _pairwise_distances(np.concatenate([a, b]))
-    na = a.shape[0]
-    return float(2.0 * d[:na, na:].mean() - d[:na, :na].mean() - d[na:, na:].mean())
+    from direct norms of the differences rather than the permutation
+    test's Gram expansion and quadratic form."""
+
+    def mean_dist(x, y):
+        return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1).mean()
+
+    return float(2.0 * mean_dist(a, b) - mean_dist(a, a) - mean_dist(b, b))
 
 
 def null_calibration_pvalues(n_reps, n, dim, n_perm, rng, max_points=2500):
@@ -33,6 +35,13 @@ class TestEnergyDistance:
         a = np.random.default_rng(0).normal(size=(50, 3))
         stat, _, _ = energy_permutation_test(a, a.copy(), 200, RandomSource(0))
         assert stat == pytest.approx(0.0, abs=1e-12)
+
+    def test_coincident_points_are_at_distance_zero(self):
+        # the Gram expansion's rounding noise must not reach the diagonal
+        # or the pairs of coincident points
+        a = RandomSource(7).standard_normal((300, 2))
+        d = _pairwise_distances(np.concatenate([a, a]))
+        assert not np.diag(d).any() and not np.diag(d, 300).any()
 
     def test_positive_for_shifted(self):
         rng = np.random.default_rng(1)
@@ -83,7 +92,7 @@ class TestPermutationTest:
         a = rng.standard_normal((300, 2))
         b = rng.standard_normal((300, 2)) + 0.2
         stat, _, _ = energy_permutation_test(a, b, 200, RandomSource(8))
-        assert stat == pytest.approx(energy_distance(a, b), rel=1e-10)
+        assert stat == pytest.approx(energy_distance(a, b), rel=1e-13)
 
     def test_null_calibration(self):
         # the spec-level calibration run: iid same-law samples must pass
