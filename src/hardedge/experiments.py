@@ -13,7 +13,6 @@ asymptotic and give no rates.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -58,14 +57,12 @@ _OPS = {
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Structured record of an experiment: parameters, statistics, verdicts."""
+    """Structured record of an experiment: statistics, thresholds, verdicts."""
 
     name: str
-    params: dict
     statistics: dict
     thresholds: dict
     verdicts: dict = field(init=False)
-    seeds: tuple = ()
 
     def __post_init__(self):
         verdicts = {}
@@ -74,7 +71,6 @@ class ExperimentReport:
                 raise DomainError(f"threshold {key!r} has no matching statistic")
             verdicts[key] = bool(_OPS[spec["op"]](self.statistics[key], spec["value"]))
         object.__setattr__(self, "verdicts", verdicts)
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     @property
     def passed(self) -> bool:
@@ -84,16 +80,11 @@ class ExperimentReport:
         return {
             "name": self.name,
             "version": __version__,
-            "params": self.params,
             "statistics": self.statistics,
             "thresholds": self.thresholds,
             "verdicts": self.verdicts,
             "passed": self.passed,
-            "seeds": list(self.seeds),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
     def summary(self) -> str:
         lines = [f"experiment {self.name}: {'PASS' if self.passed else 'FAIL'}"]
@@ -104,10 +95,6 @@ class ExperimentReport:
                 f"{spec['op']} {spec['value']:.6g}: {'pass' if ok else 'FAIL'}"
             )
         return "\n".join(lines)
-
-
-def _seed_tuple(rng) -> tuple:
-    return (getattr(rng, "master_seed", -1), getattr(rng, "stream", -1))
 
 
 def _survivors(rows: np.ndarray, failed: np.ndarray, experiment: str) -> np.ndarray:
@@ -199,7 +186,6 @@ def run_intertwining(
         raise DomainError(f"x must have at least 2 coordinates for a corner, got {x.n}")
     x.require_interior()
     eta_b = eta if eta_corner_side is None else eta_corner_side
-    n_top = x.n
     par_a = SdeParams(eta=eta, rescaled=False)
     par_b = SdeParams(eta=eta_b, rescaled=False)
 
@@ -225,19 +211,8 @@ def run_intertwining(
     }
     return ExperimentReport(
         name="intertwining",
-        params={
-            "x": x.values.tolist(),
-            "t": t,
-            "eta": eta,
-            "eta_corner_side": eta_b,
-            "n": n,
-            "dt": dt,
-            "n_perm": n_perm,
-            "levels": [n_top, n_top - 1],
-        },
         statistics=statistics,
         thresholds={"energy_pvalue": {"op": ">", "value": ALPHA}},
-        seeds=_seed_tuple(rng),
     )
 
 
@@ -283,19 +258,11 @@ def run_uniform_approx(
     }
     return ExperimentReport(
         name="uniform_approx",
-        params={
-            "K": K,
-            "sizes": sizes,
-            "n": n,
-            "threshold": threshold,
-            "tolerance_provenance": "calibrated, not theoretical",
-        },
         statistics=statistics,
         thresholds={
             "final_abs_diff": {"op": "<", "value": threshold},
             "monotone_margin": {"op": "<=", "value": 0.0},
         },
-        seeds=_seed_tuple(rng),
     )
 
 
@@ -378,19 +345,8 @@ def run_equilibrium(
         thresholds["final_ks_exact_pvalue"] = {"op": ">", "value": ALPHA}
     return ExperimentReport(
         name="equilibrium",
-        params={
-            "N": N,
-            "eta": eta,
-            "x0": None if x0 is None else x0.values.tolist(),
-            "t_grid": t_grid,
-            "n": n,
-            "dt": dt,
-            "n_perm": n_perm,
-            "tolerance_provenance": "calibrated, not theoretical",
-        },
         statistics=statistics,
         thresholds=thresholds,
-        seeds=_seed_tuple(rng),
     )
 
 
@@ -489,17 +445,8 @@ def run_coupling_l2(
     }
     return ExperimentReport(
         name="coupling_l2",
-        params={
-            "omega_xs": omega_target.xs.tolist(),
-            "gamma": omega_target.gamma,
-            "N_list": sizes,
-            "T": T,
-            "dt": dt,
-            "eta": eta,
-        },
         statistics=statistics,
         thresholds={"max_consecutive_ratio": {"op": "<=", "value": 1.2}},
-        seeds=_seed_tuple(rng),
     )
 
 
@@ -563,18 +510,8 @@ def run_collision_bound(
     stats["max_excess_over_bound"] = max_excess
     return ExperimentReport(
         name="collision_bound",
-        params={
-            "sizes": [cfg.n for cfg in x_family],
-            "delta": delta,
-            "eps": eps,
-            "t": t,
-            "n": n,
-            "eta": eta,
-            "dt": dt,
-        },
         statistics=stats,
         thresholds={"max_excess_over_bound": {"op": "<=", "value": 0.0}},
-        seeds=_seed_tuple(rng),
     )
 
 
@@ -603,8 +540,6 @@ def run_hard_edge_density(
     increasing = bins.ndim == 1 and bins.size >= 2 and np.all(np.diff(bins) > 0)
     if not (increasing and np.all(np.isfinite(bins))):
         raise DomainError(f"bins must be two or more finite increasing edges, got {bins.tolist()}")
-    if not 1 <= top <= N:
-        raise DomainError(f"top must be in 1..N={N}, got {top}")
 
     def worker(block_rng, count):
         return inverse_laguerre_samples(N, eta, count, block_rng, top) / N
@@ -629,19 +564,8 @@ def run_hard_edge_density(
     }
     return ExperimentReport(
         name="hard_edge_density",
-        params={
-            "N": N,
-            "eta": eta,
-            "n": n,
-            "bins": bins.tolist(),
-            "top": top,
-            "min_count": min_count,
-            "tol": tol,
-            "tolerance_provenance": "calibrated, not theoretical",
-        },
         statistics=statistics,
         thresholds={"sup_rel_error": {"op": "<", "value": tol}},
-        seeds=_seed_tuple(rng),
     )
 
 
@@ -680,7 +604,6 @@ def run_matrix_eigen_agreement(
     a = _run_blocks(n, matrix_worker, sub_rng.child(0), threads)
     b, fail = _run_blocks(n, particle_worker, sub_rng.child(1), threads)
     ks = ks_per_coordinate(a, _survivors(b, fail, "matrix_eigen_agreement"))
-    bonferroni = ALPHA / N
     statistics = {
         **{f"ks_pvalue_coord{k + 1}": float(p) for k, p in enumerate(ks)},
         "min_ks_pvalue": float(ks.min()),
@@ -688,15 +611,6 @@ def run_matrix_eigen_agreement(
     }
     return ExperimentReport(
         name="matrix_eigen_agreement",
-        params={
-            "N": N,
-            "eta": eta,
-            "t": t,
-            "n": n,
-            "dt": dt,
-            "bonferroni_level": bonferroni,
-        },
         statistics=statistics,
-        thresholds={"min_ks_pvalue": {"op": ">", "value": bonferroni}},
-        seeds=_seed_tuple(rng),
+        thresholds={"min_ks_pvalue": {"op": ">", "value": ALPHA / N}},
     )

@@ -296,7 +296,33 @@ class TestExperimentCommand:
         assert doc["passed"] is True
         assert doc["config"]["x"] == [3, 2, 1]
         assert doc["version"]
-        assert os.path.exists(tmp_path / "intertwining_statistics.csv")
+
+    def test_report_records_each_input_once(self, tmp_path):
+        # the resolved config is the one record of a run's inputs; the report
+        # restates none of them and no statistics file sits beside it
+        settings = {
+            "intertwining": ["x=[3,2,1]", "t=0.01", "n=50", "n_perm=200"],
+            "uniform-approx": ["sizes=[4]", "n=50"],
+            "equilibrium": ["N=1", "eta=1", "t_grid=[0.01]", "n=50", "n_perm=200"],
+            "coupling-l2": ["omega_xs=[1]", "N_list=[4,8]", "T=0.01"],
+            "collision-bound": ["sizes=[2]", "delta=0.05", "eps=0.1", "t=0.01", "n=50"],
+            "hard-edge-density": ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0"],
+            "matrix-eigen-agreement": ["N=3", "x0=[3,2,1]", "t=0.01", "n=50"],
+        }
+        assert list(settings) == list(_EXPERIMENTS)
+        for name, items in settings.items():
+            out = tmp_path / name
+            argv = ["experiment", name, "--seed", "3"]
+            for item in items:
+                argv += ["--set", item]
+            assert run_cli(out, *argv) in (0, 2)
+            doc = json.loads((out / "report.json").read_text())
+            assert set(doc) == {
+                "name", "version", "statistics", "thresholds", "verdicts", "passed", "config",
+            }
+            assert set(doc["config"]) == {*_EXPERIMENTS[name].keys, "seed"}
+            assert doc["config"]["seed"] == 3
+            assert [p.name for p in out.iterdir()] == ["report.json"]
 
     def test_failing_experiment_exits_two(self, tmp_path):
         # eta mismatch between pipelines: the negative control must fail
