@@ -155,15 +155,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(format(float(v), FLOAT_FMT) for v in row) + "\n")
 
 
-def read_trajectory_csv(path: str):
-    """Read back a trajectory written by the simulate command."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
-    data = np.array(rows)
-    return header, data[:, 0], data[:, 1:]
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -378,7 +369,6 @@ _EXPERIMENTS = {
             "bins": ("list", REQUIRED),
             "top": ("int", 3),
             "min_count": ("int", 100),
-            "tol": ("float", 0.15),
         },
         run_hard_edge_density,
         {},

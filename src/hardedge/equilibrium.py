@@ -230,9 +230,6 @@ def _bessel_kernel_diagonal(eta: float, x: float) -> float:
     z = np.sqrt(x)
     j0 = bessel_j(eta, z)
     j1 = bessel_j(eta + 1.0, z)
-    if z == 0.0:
-        # finite only for eta >= 0; the eta-in-(-1,0) kernel diverges at 0
-        return 0.25 * (j0**2 + j1**2) if eta >= 0 else np.inf
     return 0.25 * (j0**2 + j1**2 - (2.0 * eta / z) * j0 * j1)
 
 

@@ -523,7 +523,6 @@ def run_hard_edge_density(
     rng: RandomSource,
     top: int = 3,
     min_count: int = 100,
-    tol: float = 0.15,
     threads: int = 1,
 ) -> ExperimentReport:
     """Embedded equilibrium top points against the inverse-coordinate kernel.
@@ -565,7 +564,7 @@ def run_hard_edge_density(
     return ExperimentReport(
         name="hard_edge_density",
         statistics=statistics,
-        thresholds={"sup_rel_error": {"op": "<", "value": tol}},
+        thresholds={"sup_rel_error": {"op": "<", "value": 0.15}},
     )
 
 

@@ -5,9 +5,10 @@ block of U diag(x) U* with U Haar.  That block needs only the first K
 columns of U, so every corner and chain law is sampled exactly by
 compressing diag(x) with one Haar N x K frame.  The kernel's density is a
 determinant of shifted fundamental splines with a binomial prefactor; the
-one-level, one-point case collapses to the spline itself.  Boundary states
-use the same compression, with an unnormalised Gaussian frame plus the
-scalar term.
+one-level, one-point case collapses to the spline itself.  One positive
+Cox-de Boor recurrence gives both the spline's density and its tail mass.
+Boundary states use the same compression, with an unnormalised Gaussian
+frame plus the scalar term.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _TAIL_CUT = 1e-12
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Decreasing knot list of length >= 2; ties up to multiplicity N-2."""
+    """Finite decreasing knot list of length >= 2; ties up to multiplicity N-2."""
 
     knots: np.ndarray
 
@@ -54,6 +55,8 @@ class KnotVector:
         arr.setflags(write=False)
         if arr.ndim != 1 or arr.size < 2:
             raise DomainError("need at least two knots")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("knots must be finite")
         if np.any(np.diff(arr) > 0):
             raise DomainError("knots must be decreasing")
         object.__setattr__(self, "knots", arr)
@@ -91,49 +94,17 @@ def _spline_args(y, knots) -> tuple[np.ndarray, np.ndarray, bool]:
     return nodes, np.atleast_1d(np.asarray(y, dtype=float)), scalar
 
 
-def _divdiff_truncated_power(nodes_asc: np.ndarray, y, power: int):
-    """Confluent Newton divided difference of t -> (t-y)_+^power.
+def _cox_de_boor(nodes_asc: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+    """First normalised B-spline of each degree d = 0..N-2, the one on the
+    nodes t_0..t_{d+1}, by the positive recurrence (0/0 := 0).
 
-    ``y`` may be a scalar or 1-d array; ties in the nodes are resolved with
-    derivative values, which stay continuous as long as every multiplicity
-    is at most ``power`` (enforced upstream).
+    Every entry is a convex combination of lower ones, so nothing cancels
+    where the Newton tableau of truncated powers does for clustered knots.
     """
-    y = np.asarray(y, dtype=float)
-    m = nodes_asc.size
-
-    def f_deriv(t, j):
-        # j-th derivative of (t-y)_+^power
-        coef = 1.0
-        for k in range(j):
-            coef *= power - k
-        expo = power - j
-        diff = t - y
-        if expo == 0:
-            return coef * (diff > 0).astype(float)
-        return coef * np.where(diff > 0, diff, 0.0) ** expo
-
-    table = [f_deriv(nodes_asc[i], 0) for i in range(m)]
-    fact = 1.0
-    for j in range(1, m):
-        fact *= j
-        new = []
-        for i in range(m - j):
-            dt = nodes_asc[i + j] - nodes_asc[i]
-            if dt == 0.0:
-                new.append(f_deriv(nodes_asc[i], j) / fact)
-            else:
-                new.append((table[i + 1] - table[i]) / dt)
-        table = new
-    return table[0]
-
-
-def _cox_de_boor(nodes_asc: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Single normalised B-spline basis over all nodes, by the positive
-    recurrence (0/0 := 0); numerically stable where the Newton tableau of
-    truncated powers cancels catastrophically."""
     t = nodes_asc
     p = t.size - 2
     vals = [((y >= t[i]) & (y < t[i + 1])).astype(float) for i in range(p + 1)]
+    firsts = [vals[0]]
     for k in range(1, p + 1):
         nxt = []
         for i in range(p + 1 - k):
@@ -146,16 +117,16 @@ def _cox_de_boor(nodes_asc: np.ndarray, y: np.ndarray) -> np.ndarray:
                 acc += (t[i + k + 1] - y) / dr * vals[i + 1]
             nxt.append(acc)
         vals = nxt
-    return vals[0]
+        firsts.append(vals[0])
+    return firsts
 
 
 def spline_m(y, knots) -> float | np.ndarray:
     """Fundamental spline density with the given decreasing knots.
 
     The normalised divided difference of the truncated power
-    t -> (t-y)_+^(N-2) over the knot multiset, evaluated through the
-    equivalent positive B-spline recurrence (the raw rational sum and the
-    Newton tableau both cancel catastrophically for clustered knots).
+    t -> (t-y)_+^(N-2) over the knot multiset, which is the degree-(N-2)
+    B-spline on all knots scaled by (N-1)/(max knot - min knot).
     Nonnegative, supported on [min knot, max knot], integrates to one.
     """
     nodes, yarr, scalar = _spline_args(y, knots)
@@ -163,7 +134,7 @@ def spline_m(y, knots) -> float | np.ndarray:
     out = np.zeros_like(yarr)
     inside = (yarr >= nodes[0]) & (yarr <= nodes[-1])
     if np.any(inside):
-        basis = _cox_de_boor(nodes, yarr[inside])
+        basis = _cox_de_boor(nodes, yarr[inside])[-1]
         out[inside] = basis * (n - 1) / (nodes[-1] - nodes[0])
     return float(out[0]) if scalar else out
 
@@ -171,12 +142,22 @@ def spline_m(y, knots) -> float | np.ndarray:
 def spline_m_tail_mass(y, knots) -> float | np.ndarray:
     """Exact upper-tail mass of the spline: integral of M over [y, infinity).
 
-    Divided difference of (t-y)_+^(N-1); the complementary CDF used by the
+    With ascending knots t_0..t_{N-1} and B_d the first degree-d B-spline
+    of the same recurrence as the density (Leibniz rule for divided
+    differences),
+    tail(y) = 1[y < t_0] + sum_d (t_{d+1} - y) B_d(y) / (t_{d+1} - t_0),
+    skipping d with t_{d+1} = t_0.  Every term is nonnegative, since B_d
+    vanishes for y >= t_{d+1}.  The complementary CDF used by the
     goodness-of-fit checks.
     """
     nodes, yarr, scalar = _spline_args(y, knots)
-    n = nodes.size
-    out = np.clip(_divdiff_truncated_power(nodes, yarr, n - 1), 0.0, 1.0)
+    out = (yarr < nodes[0]).astype(float)
+    for d, basis in enumerate(_cox_de_boor(nodes, yarr)):
+        span = nodes[d + 1] - nodes[0]
+        if span > 0:
+            out += (nodes[d + 1] - yarr) / span * basis
+    # rounding can lift the sum a few ulps above 1
+    np.minimum(out, 1.0, out=out)
     return float(out[0]) if scalar else out
 
 

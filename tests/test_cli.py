@@ -12,11 +12,20 @@ import numpy as np
 import pytest
 
 from hardedge import experiments
-from hardedge.cli import _EXPERIMENTS, main, read_trajectory_csv
+from hardedge.cli import _EXPERIMENTS, main
 
 
 def run_cli(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
+
+
+def read_trajectory_csv(path):
+    """Read back a trajectory written by the simulate command."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
+    data = np.array(rows)
+    return header, data[:, 0], data[:, 1:]
 
 
 class TestSimulate:
@@ -268,9 +277,11 @@ class TestConfigKinds:
              "--set", "stream=0"],
             ["sample-equilibrium", "--set", "N=2", "--set", "eta=1", "--set", "n=10",
              "--set", "stream=0"],
+            ["experiment", "hard-edge-density", "--set", "N=100", "--set", "eta=0",
+             "--set", "n=10", "--set", "bins=[1,2]", "--set", "tol=0.15"],
         ],
         ids=["horizon", "simulate-stream", "dt_max", "sample-kernel-stream",
-             "sample-equilibrium-stream"],
+             "sample-equilibrium-stream", "hard-edge-tol"],
     )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, argv):
         if argv[0] == "simulate":
@@ -350,7 +361,18 @@ class TestExperimentCommand:
         assert main([*args, "--threads", "8", "--out", str(b_dir)]) in (0, 2)
         assert (a_dir / "report.json").read_bytes() == (b_dir / "report.json").read_bytes()
 
-    def test_report_identical_on_the_thread_pool(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, settings, expected_pools",
+        [
+            ("uniform-approx", ["sizes=[4]"], [2, 2]),
+            # a worker returning a tuple of arrays, concatenated per field
+            ("intertwining", ["x=[3,2,1]", "t=0.01", "n_perm=200"], [2]),
+        ],
+        ids=["uniform-approx", "intertwining"],
+    )
+    def test_report_identical_on_the_thread_pool(
+        self, tmp_path, monkeypatch, name, settings, expected_pools
+    ):
         # n = 5000 spans two replica blocks, so --threads 2 runs them on the pool
         pools = []
 
@@ -360,14 +382,13 @@ class TestExperimentCommand:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
-        args = [
-            "experiment", "uniform-approx", "--seed", "6", "--set", "sizes=[4]", "--set", "n=5000",
-        ]
+        args = ["experiment", name, "--seed", "6", "--set", "n=5000"]
+        args += [arg for setting in settings for arg in ("--set", setting)]
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         assert main([*args, "--threads", "1", "--out", str(a_dir)]) in (0, 2)
         assert pools == []
         assert main([*args, "--threads", "2", "--out", str(b_dir)]) in (0, 2)
-        assert pools == [2, 2]
+        assert pools == expected_pools
         assert (a_dir / "report.json").read_bytes() == (b_dir / "report.json").read_bytes()
 
     @pytest.mark.parametrize(

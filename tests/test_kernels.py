@@ -8,7 +8,6 @@ from hardedge.core import OmegaPlusPoint, OrderedConfig, embed
 from hardedge.errors import DegenerateKnots, DomainError, NumericalInstability, OrderTooHigh
 from hardedge.kernels import (
     KnotVector,
-    _divdiff_truncated_power,
     _haar_frame,
     _spline_args,
     boundary_corner_samples,
@@ -20,6 +19,42 @@ from hardedge.kernels import (
     spline_m_tail_mass,
 )
 from hardedge.rng import RandomSource
+
+
+def _divdiff_truncated_power(nodes_asc: np.ndarray, y, power: int):
+    """Confluent Newton divided difference of t -> (t-y)_+^power.
+
+    ``y`` may be a scalar or 1-d array; ties in the nodes are resolved with
+    derivative values, which stay continuous as long as every multiplicity
+    is at most ``power``.
+    """
+    y = np.asarray(y, dtype=float)
+    m = nodes_asc.size
+
+    def f_deriv(t, j):
+        # j-th derivative of (t-y)_+^power
+        coef = 1.0
+        for k in range(j):
+            coef *= power - k
+        expo = power - j
+        diff = t - y
+        if expo == 0:
+            return coef * (diff > 0).astype(float)
+        return coef * np.where(diff > 0, diff, 0.0) ** expo
+
+    table = [f_deriv(nodes_asc[i], 0) for i in range(m)]
+    fact = 1.0
+    for j in range(1, m):
+        fact *= j
+        new = []
+        for i in range(m - j):
+            dt = nodes_asc[i + j] - nodes_asc[i]
+            if dt == 0.0:
+                new.append(f_deriv(nodes_asc[i], j) / fact)
+            else:
+                new.append((table[i + 1] - table[i]) / dt)
+        table = new
+    return table[0]
 
 
 def spline_m_tableau(y, knots):
@@ -124,6 +159,9 @@ class TestSplineM:
             KnotVector([1.0])
         with pytest.raises(DomainError):
             KnotVector([1.0, 2.0])
+        for knots in ([np.nan, 1.0], [np.inf, 0.0], [2.0, np.nan, 0.0]):
+            with pytest.raises(DomainError):
+                KnotVector(knots)
 
 
 class TestSplineDerivative:
@@ -159,6 +197,27 @@ class TestSplineDerivative:
             assert spline_m_derivative(y, x, 2) == pytest.approx(fd, abs=1e-3)
 
 
+def quadrature_tail_mass(ys, knots):
+    """Upper-tail mass of the spline by Gauss-Legendre quadrature of
+    ``spline_m`` over every cell between knots and evaluation points; N
+    nodes per cell are exact for a piecewise polynomial of degree N-2.
+
+    The knots and points are first translated to start at 0.  For the knots
+    and points used here that is exact, and it keeps the rounding of the
+    quadrature nodes small against the cell widths.
+    """
+    x = np.asarray(knots, dtype=float)
+    lo = x.min()
+    ys = np.asarray(ys, dtype=float) - lo
+    edges = np.unique(np.concatenate([x - lo, ys]))
+    g, w = np.polynomial.legendre.leggauss(x.size)
+    half = 0.5 * np.diff(edges)[:, None]
+    pts = half * g + 0.5 * (edges[:-1] + edges[1:])[:, None]
+    cells = half[:, 0] * (spline_m(pts.ravel(), x - lo).reshape(pts.shape) @ w)
+    upper = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+    return upper[np.searchsorted(edges, ys)]
+
+
 class TestTailMass:
     def test_limits(self):
         x = (3.0, 1.0, 0.5)
@@ -171,6 +230,38 @@ class TestTailMass:
         for y in rng.uniform(x[-1], x[0], 4):
             tail, _ = quad(lambda s: spline_m(s, x), y, x[0], points=list(x), limit=200)
             assert spline_m_tail_mass(y, x) == pytest.approx(tail, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "knots",
+        [
+            np.arange(30.0, 0.0, -1.0),
+            np.arange(64.0, 0.0, -1.0),
+            np.sort(1.0 + 0.001 * np.random.default_rng(0).random(40))[::-1],
+        ],
+        ids=["even-30", "even-64", "clustered-40"],
+    )
+    def test_exact_for_many_knots(self, knots):
+        # the Newton tableau of (t-y)_+^(N-1), _divdiff_truncated_power, is
+        # off by 6.5e-7, 2.7e-4 and 1.0 on these three knot vectors
+        ys = knots[-1] + (knots[0] - knots[-1]) * np.arange(1, 8) / 8
+        np.testing.assert_allclose(
+            spline_m_tail_mass(ys, knots), quadrature_tail_mass(ys, knots), rtol=0, atol=1e-12
+        )
+        tails = spline_m_tail_mass(np.linspace(knots[-1], knots[0], 1001), knots)
+        assert tails.min() >= 0.0 and tails.max() <= 1.0
+
+    @pytest.mark.parametrize(
+        "knots, ys, tails",
+        [
+            ((3.0, 2.0, 2.0, 1.0), (1.5, 2.0, 2.5), (15 / 16, 1 / 2, 1 / 16)),
+            ((4.0, 2.0, 2.0, 2.0, 1.0), (2.0, 2.5), (2 / 3, 27 / 128)),
+            # a tie at the lowest knot: levels with t_{d+1} = t_0 add nothing
+            ((3.0, 2.0, 1.0, 1.0), (1.5, 2.0, 2.5), (23 / 32, 1 / 4, 1 / 32)),
+        ],
+        ids=["double", "triple", "double-at-lowest"],
+    )
+    def test_tied_knots(self, knots, ys, tails):
+        np.testing.assert_allclose(spline_m_tail_mass(np.array(ys), knots), tails, rtol=1e-14)
 
 
 class TestHaarUnitary:
