@@ -29,9 +29,10 @@ _DIAGONAL_SWITCH = 1e-6
 # Twice the underflow threshold: the bisection's absolute width floor, as
 # in LAPACK's most accurate dstebz setting.
 _ABSTOL = 2.0 * np.finfo(float).tiny
-# Bisection stops at this relative width, or at the absolute floor above;
-# halving from any finite bracket reaches the floor within the sweep bound.
-_BISECT_RTOL = 1e-12
+# A target stops at this relative Newton step or bracket width, or at the
+# absolute floor above; halving from any finite bracket reaches the floor
+# within the bound on count sweeps plus Newton passes.
+_RTOL = 1e-12
 _MAX_SWEEPS = 2100
 # Pivots whose signs are counted per ufunc call; keeps the pivot buffer
 # (B, k, n) under 1 MB at k = 3, n = 1000.
@@ -74,6 +75,45 @@ def _sturm_count(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
+def _sturm_newton(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The count of ``_sturm_count`` and S(x) = d/dx log|det(T - x)|, batch-last.
+
+    One walk over the same LDL^T pivots q_i of T - x: S = sum q_i'/q_i, with
+    q_1' = -1 and q_i' = -1 + (e2_{i-1}/q_{i-1}) (q_{i-1}'/q_{i-1}), so the
+    Newton step for det(T - x) = 0 is x - 1/S.  A zero pivot that is not the
+    last makes S NaN, which the caller treats as a step that left its
+    bracket; a zero last pivot (x an eigenvalue) makes S infinite and the
+    step 0.
+    """
+    N = d.shape[0]
+    B = min(_PIVOT_BLOCK, N)
+    # q[0] and r[0] carry the previous block's last pivot and q'/q
+    q = np.empty((B + 1,) + x.shape)
+    r = np.empty((B + 1,) + x.shape)
+    negative = np.empty((B,) + x.shape, dtype=bool)
+    t = np.empty(x.shape)
+    count = np.zeros(x.shape, dtype=np.intp)
+    S = np.zeros(x.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i0 in range(0, N, B):
+            m = min(B, N - i0)
+            if i0:
+                q[0], r[0] = q[B], r[B]
+            np.subtract(d[i0 : i0 + m, None, :], x, out=q[1 : m + 1])
+            if not i0:
+                np.divide(-1.0, q[1], out=r[1])
+            for j in range(0 if i0 else 1, m):
+                np.divide(e2[i0 + j - 1], q[j], out=t)
+                np.subtract(q[j + 1], t, out=q[j + 1])
+                np.multiply(t, r[j], out=t)
+                np.subtract(t, 1.0, out=t)
+                np.divide(t, q[j + 1], out=r[j + 1])
+            np.signbit(q[1 : m + 1], out=negative[:m])
+            count += np.add.reduce(negative[:m].view(np.uint8), axis=0, dtype=np.uint8)
+            S += np.add.reduce(r[1 : m + 1], axis=0)
+    return count, S
+
+
 def _not_positive_definite(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """Rows whose LDL^T pivots at x = 0 are not all > 0, batch-last."""
     q = d[0]
@@ -85,15 +125,104 @@ def _not_positive_definite(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return bad
 
 
+def _narrow(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Brackets at relative width 1e-12, or at the absolute floor."""
+    return hi - lo <= np.maximum(_RTOL * hi, _ABSTOL)
+
+
+def _isolation_pass(d, e2, lo, hi, c_lo, c_hi) -> np.ndarray:
+    """One bisection sweep over (k, n) brackets and the counts at their ends.
+
+    Returns the rows in which each target j is alone in its bracket,
+    count(lo) = j - 1 and count(hi) = j, or its bracket is narrow.
+    """
+    target = np.arange(1, lo.shape[0] + 1)[:, None]
+    mid = 0.5 * (lo + hi)
+    count = _sturm_count(d, e2, mid)
+    below = count >= target
+    np.copyto(hi, mid, where=below)
+    np.copyto(c_hi, count, where=below)
+    np.copyto(lo, mid, where=~below)
+    np.copyto(c_lo, count, where=~below)
+    return (((c_lo == target - 1) & (c_hi == target)) | _narrow(lo, hi)).all(axis=0)
+
+
+def _newton_pass(d, e2, lo, hi, x, last, move, stopped) -> np.ndarray:
+    """One safeguarded Newton pass over (k, n) iterates x in their brackets.
+
+    The count at x narrows the bracket.  A target stops when its Newton
+    step |1/S| <= 1e-12 x (tested first: at an eigenvalue S is infinite and
+    the step 0) or when its bracket is narrow; its x is then kept.
+    Otherwise a step at most half the last one taken (``last``, inf after a
+    midpoint) is taken.  Close to the eigenvalue S is rounding noise and
+    the steps stall: one in the same direction doubles the last move
+    (``move``) rather than creep; one that turns back, as between the two
+    bracket ends, gives way to the midpoint, as does any move out of
+    [lo, hi].  Returns the rows whose targets have all stopped.
+    """
+    target = np.arange(1, lo.shape[0] + 1)[:, None]
+    count, S = _sturm_newton(d, e2, x)
+    below = count >= target
+    np.copyto(hi, x, where=below)
+    np.copyto(lo, x, where=~below)
+    # S = +-inf at an eigenvalue gives step 0, and 0 * inf a NaN test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -1.0 / S
+        expand = step * last > 0
+    converged = np.abs(step) <= _RTOL * x
+    stall = 2.0 * np.abs(step) > np.abs(last)
+    expand &= stall
+    trial = x + np.where(expand, 2.0 * move, step)
+    take = (lo <= trial) & (trial <= hi) & (expand | ~stall)
+    nxt = np.where(converged, x + step, np.where(take, trial, 0.5 * (lo + hi)))
+    live = ~stopped
+    np.copyto(last, np.where(take, step, np.inf), where=live)
+    np.copyto(move, nxt - x, where=live)
+    np.copyto(x, nxt, where=live)
+    stopped |= converged | _narrow(lo, hi)
+    return stopped.all(axis=0)
+
+
+def _until_done(step, d, e2, state: list, passes: int) -> int:
+    """Apply ``step(d, e2, *state)`` to the rows still running until all are done.
+
+    ``state`` holds (k, n) arrays that each pass updates in place and that
+    hold every row's final values on return.  Once half the rows still
+    running are done, they leave the batch.  Returns ``passes`` plus the
+    passes taken; past _MAX_SWEEPS in all raises ConvergenceFailure.
+    """
+    rows = np.arange(d.shape[1])
+    live = list(state)
+    while passes < _MAX_SWEEPS:
+        passes += 1
+        done = step(d, e2, *live)
+        if 2 * np.count_nonzero(done) >= rows.size:
+            for full, part in zip(state, live):
+                full[:, rows[done]] = part[:, done]
+            if done.all():
+                return passes
+            keep = ~done
+            rows, d, e2 = rows[keep], d[:, keep], e2[:, keep]
+            live = [a[:, keep] for a in live]
+    raise ConvergenceFailure(f"tridiagonal bisection did not converge in {_MAX_SWEEPS} sweeps")
+
+
 def _bisect_smallest(d: np.ndarray, e2: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """The k smallest eigenvalues of n positive definite tridiagonals.
 
-    d (N, n) and e2 (N-1, n) batch-last, k < N.  All k x n targets are
-    bisected at once on [0, hi], hi the Gershgorin bound of the trailing
-    k x k block: by Cauchy interlacing it bounds the k-th eigenvalue of T.
-    A target stops at relative width 1e-12 (or the absolute floor); once
-    half the matrices still bisecting are done, they leave the batch.
-    Returns the (n, k) midpoints, rows increasing, and the sweeps taken.
+    d (N, n) and e2 (N-1, n) batch-last, k < N.  All k x n targets start on
+    [0, hi], hi the Gershgorin bound of the trailing k x k block: by Cauchy
+    interlacing it bounds the k-th eigenvalue of T.  Two phases follow,
+    each on all rows at once:
+
+    1. Isolation: Sturm-count bisection until each target is alone in its
+       bracket (``_isolation_pass``).
+    2. Newton: from each bracket's midpoint, safeguarded Newton passes on
+       det(T - x) that walk the same LDL^T pivots (``_newton_pass``), until
+       the step is within 1e-12 relative or the bracket is that narrow.
+
+    Returns the (n, k) eigenvalues, rows increasing, and the count sweeps
+    plus Newton passes taken.
     """
     N, n = d.shape
     e = np.sqrt(e2[N - k :])
@@ -102,22 +231,13 @@ def _bisect_smallest(d: np.ndarray, e2: np.ndarray, k: int) -> tuple[np.ndarray,
     bound[1:] += e
     hi = np.repeat(bound.max(axis=0, keepdims=True), k, axis=0)
     lo = np.zeros((k, n))
-    target = np.arange(1, k + 1)[:, None]
-    live = np.arange(n)
-    out = np.empty((k, n))
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        mid = 0.5 * (lo + hi)
-        below = _sturm_count(d, e2, mid) >= target
-        np.copyto(hi, mid, where=below)
-        np.copyto(lo, mid, where=~below)
-        done = (hi - lo <= np.maximum(_BISECT_RTOL * hi, _ABSTOL)).all(axis=0)
-        if 2 * np.count_nonzero(done) >= live.size:
-            out[:, live[done]] = 0.5 * (lo[:, done] + hi[:, done])
-            if done.all():
-                return out.T, sweep
-            keep = ~done
-            live, d, e2, lo, hi = live[keep], d[:, keep], e2[:, keep], lo[:, keep], hi[:, keep]
-    raise ConvergenceFailure(f"tridiagonal bisection did not converge in {_MAX_SWEEPS} sweeps")
+    # counts at the bracket ends; hi's is N + 1 until hi has been counted
+    counts = [np.zeros((k, n), np.intp), np.full((k, n), N + 1)]
+    passes = _until_done(_isolation_pass, d, e2, [lo, hi, *counts], 0)
+    x = 0.5 * (lo + hi)
+    state = [lo, hi, x, np.full((k, n), np.inf), np.zeros((k, n)), np.zeros((k, n), bool)]
+    passes = _until_done(_newton_pass, d, e2, state, passes)
+    return x.T, passes
 
 
 def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray:
@@ -125,11 +245,12 @@ def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray
 
     k = N solves each row by one ``dsterf`` call: the QL/QR root-free
     solver that ``eigh_tridiagonal`` reaches through ``dstevd``, without its
-    per-call checks.  k < N bisects all k x n eigenvalues at once with the
-    Sturm count (``_bisect_smallest``).  The gamma draws do not depend on k.
+    per-call checks.  k < N finds all k x n eigenvalues at once: Sturm-count
+    bisection isolates each, then Newton steps converge from the same LDL^T
+    pivots (``_bisect_smallest``).  The gamma draws do not depend on k.
     A row that is numerically not positive definite, which happens near
     eta = -1, raises ConvergenceFailure: on the dsterf path a smallest
-    eigenvalue <= 0, on the bisection path a pivot <= 0 at x = 0.
+    eigenvalue <= 0, on the top-k path a pivot <= 0 at x = 0.
     """
     if not eta > -1:
         raise ParameterError(f"need eta > -1, got {eta}")
@@ -197,10 +318,12 @@ def inverse_laguerre_samples(
     Rows are sorted decreasing.  ``top=k`` returns only the k largest inverse
     points, shape (n, k): the first k columns of the full draw from the same
     stream, from the k smallest Laguerre eigenvalues of all rows found at
-    once by Sturm-count bisection.  Both solvers are exact to ~eps |T| in
-    absolute terms, so the two agree to ~1e-9 relative for eta >= 0, and to
-    ~4e-8 at eta = -0.5, N = 200, where the smallest eigenvalue is ~1e-6.  ``top=None`` or ``N`` is the full
-    draw, solved by ``dsterf``.  Either way the random stream advances alike.
+    once: Sturm-count bisection until each is isolated, then Newton steps on
+    the same LDL^T pivots.  Both solvers are exact to ~eps |T| in absolute
+    terms, so the two agree to ~1e-9 relative for eta >= 0, and to ~4e-8 at
+    eta = -0.5, N = 200, where the smallest eigenvalue is ~1e-6.
+    ``top=None`` or ``N`` is the full draw, solved by ``dsterf``.  Either
+    way the random stream advances alike.
     """
     if top is not None and not 1 <= top <= N:
         raise DomainError(f"top must be in 1..N={N}, got {top}")

@@ -84,14 +84,18 @@ def _check_multiplicity(sorted_knots: np.ndarray):
 def _spline_args(y, knots) -> tuple[np.ndarray, np.ndarray, bool]:
     """The common front of the spline evaluators: the knots sorted ascending
     (rejected when they all coincide or a multiplicity exceeds N-2), y as a
-    1-d float array, and whether y was a scalar."""
+    1-d float array (rejected if any entry is NaN), and whether y was a
+    scalar."""
     x = _as_knots(knots)
     if x[0] == x[-1]:
         raise DegenerateKnots("all knots coincide")
     nodes = np.sort(x)
     _check_multiplicity(nodes)
     scalar = np.isscalar(y) or np.ndim(y) == 0
-    return nodes, np.atleast_1d(np.asarray(y, dtype=float)), scalar
+    yarr = np.atleast_1d(np.asarray(y, dtype=float))
+    if np.isnan(yarr).any():
+        raise DomainError("spline evaluation points must not be NaN")
+    return nodes, yarr, scalar
 
 
 def _cox_de_boor(nodes_asc: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
@@ -152,10 +156,16 @@ def spline_m_tail_mass(y, knots) -> float | np.ndarray:
     """
     nodes, yarr, scalar = _spline_args(y, knots)
     out = (yarr < nodes[0]).astype(float)
-    for d, basis in enumerate(_cox_de_boor(nodes, yarr)):
+    # every B_d vanishes off [t_0, t_{N-1}), where the tail is 1 or 0; only
+    # the support is summed, so y = +-inf never meets inf * 0
+    inside = (yarr >= nodes[0]) & (yarr < nodes[-1])
+    ys = yarr[inside]
+    tail = np.zeros_like(ys)
+    for d, basis in enumerate(_cox_de_boor(nodes, ys)):
         span = nodes[d + 1] - nodes[0]
         if span > 0:
-            out += (nodes[d + 1] - yarr) / span * basis
+            tail += (nodes[d + 1] - ys) / span * basis
+    out[inside] = tail
     # rounding can lift the sum a few ulps above 1
     np.minimum(out, 1.0, out=out)
     return float(out[0]) if scalar else out

@@ -165,6 +165,24 @@ def batch_last(main, off):
     return np.ascontiguousarray(main.T), np.ascontiguousarray((off**2).T)
 
 
+def sampler_row(N, eta, n, rng, row):
+    """Row ``row`` of the top-k sampler's (d, e2), bit for bit, as (N, 1) and (N-1, 1)."""
+    diag_sq = rng.gamma(eta + N - np.arange(N), scale=2.0, size=(n, N))[row]
+    sub_sq = rng.gamma(np.arange(N - 1, 0, -1, dtype=float), scale=2.0, size=(n, N - 1))[row]
+    d = diag_sq.copy()
+    d[1:] += sub_sq
+    return d[:, None], (diag_sq[:-1] * sub_sq)[:, None]
+
+
+def assert_matches_dstebz(lam, d, e2):
+    k = lam.shape[1]
+    tiny = 2.0 * np.finfo(float).tiny
+    off = np.sqrt(e2[:, 0])
+    want = dstebz(d[:, 0], off, 2, 0.0, 0.0, 1, k, tiny, "E")[1][:k]
+    norm = d.max() + 2.0 * off.max()
+    np.testing.assert_allclose(lam[0], want, rtol=1e-9, atol=np.finfo(float).eps * norm)
+
+
 class TestBisection:
     @pytest.mark.parametrize("eta", [-0.5, 0.5, 1.0])
     @pytest.mark.parametrize(
@@ -202,21 +220,58 @@ class TestBisection:
         T = np.diag(d[:, 0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
         want = np.count_nonzero(np.linalg.eigvalsh(T) < 1.0)
         assert equilibrium._sturm_count(d, e2, np.array([[1.0]]))[0, 0] == want == 1
-        lam = equilibrium._bisect_smallest(d, e2, 2)[0]
+        # the eigenvalue 2 is isolated in [2, 3], on its lower end; Newton's
+        # first step, from 2.5, leaves the bracket and falls back to 2.25
+        assert 2.5 - 1.0 / equilibrium._sturm_newton(d, e2, np.array([[2.5]]))[1][0, 0] < 2.0
+        lam, passes = equilibrium._bisect_smallest(d, e2, 2)
         np.testing.assert_allclose(lam[0], np.linalg.eigvalsh(T)[:2], rtol=1e-12)
+        assert passes <= 25
+
+    def test_newton_pass_matches_eigenvalues_across_pivot_blocks(self):
+        # S(x) = d/dx log|det(T - x)| = sum over eigenvalues of 1/(x - lambda)
+        N, n = 60, 7
+        main, off = laguerre_tridiagonal(N, 0.5, n, RandomSource(17))
+        d, e2 = batch_last(main, off)
+        lam = np.array([np.linalg.eigvalsh(np.diag(m) + np.diag(o, 1) + np.diag(o, -1))
+                        for m, o in zip(main, off)])
+        x = np.random.default_rng(0).uniform(0.0, lam.max(), size=(4, n))
+        count, S = equilibrium._sturm_newton(d, e2, x)
+        np.testing.assert_array_equal(count, equilibrium._sturm_count(d, e2, x))
+        want = (1.0 / (x[None] - lam.T[:, None, :])).sum(axis=0)
+        np.testing.assert_allclose(S, want, rtol=1e-7)
 
     def test_sweeps_stay_bounded(self):
-        # a relative width of 1e-12 from a bracket hi needs log2(hi / 1e-12
-        # lambda) sweeps: under 60 at N = 200 ...
+        # isolation takes about log2(hi / gap) count sweeps and Newton a few
+        # passes more: about 25 at N = 200, where bisection alone took 53 ...
         main, off = laguerre_tridiagonal(200, 1.0, 100, RandomSource(18))
-        lam, sweeps = equilibrium._bisect_smallest(*batch_last(main, off), 3)
-        assert sweeps <= 60
-        # ... and about 140 for an eigenvalue of 5e-31, still far inside
-        # the sweep bound: T = B B^T with B = [[1e-15, 0], [1, 1]]
+        lam, passes = equilibrium._bisect_smallest(*batch_last(main, off), 3)
+        assert passes <= 30
+        # ... and an eigenvalue of 5e-31 makes each Newton step overshoot
+        # below 0 until x is ~1e-15, still far inside the sweep bound:
+        # T = B B^T with B = [[1e-15, 0], [1, 1]]
         d, e2 = np.array([[1e-30], [2.0]]), np.array([[1e-30]])
-        lam, sweeps = equilibrium._bisect_smallest(d, e2, 1)
+        lam, passes = equilibrium._bisect_smallest(d, e2, 1)
         np.testing.assert_allclose(lam[0, 0], 5e-31, rtol=1e-10)
-        assert sweeps <= 145 < equilibrium._MAX_SWEEPS
+        assert passes <= 145 < equilibrium._MAX_SWEEPS
+
+    def test_newton_steps_that_turn_back_give_way_to_the_midpoint(self):
+        # in this row rounding makes Newton map each end of the smallest
+        # eigenvalue's bracket, 1.01e-12 relative wide, onto the other end;
+        # taking those steps never stopped
+        d, e2 = sampler_row(200, 1.0, 1000, RandomSource(10).child(0).child(0), 619)
+        lam, passes = equilibrium._bisect_smallest(d, e2, 3)
+        assert passes <= 30
+        assert_matches_dstebz(lam, d, e2)
+
+    def test_stalled_newton_steps_double_the_move(self):
+        # this row's smallest eigenvalue, 3.3e-4, is resolved only to ~eps |T|
+        # ~ 1e-10 relative: that close, S is rounding noise and Newton creeps
+        # by steps that do not shrink.  Doubling the move crosses the
+        # eigenvalue in 21 passes; falling back to the midpoint took 63
+        d, e2 = sampler_row(50, -0.5, 1000, RandomSource(3, 50), 726)
+        lam, passes = equilibrium._bisect_smallest(d, e2, 5)
+        assert passes <= 35
+        assert_matches_dstebz(lam, d, e2)
 
     def test_pivot_at_or_below_zero_marks_a_row(self):
         # rows: positive definite, singular (last pivot 0), indefinite

@@ -224,6 +224,23 @@ class TestTailMass:
         assert spline_m_tail_mass(-1.0, x) == pytest.approx(1.0)
         assert spline_m_tail_mass(4.0, x) == 0.0
 
+    def test_infinite_points(self):
+        # warnings are errors here, so inf * 0 in the recurrence would fail
+        x = (3.0, 2.0, 1.0)
+        assert spline_m(-np.inf, x) == spline_m(np.inf, x) == 0.0
+        assert spline_m_tail_mass(-np.inf, x) == 1.0
+        assert spline_m_tail_mass(np.inf, x) == 0.0
+        ys = np.array([-np.inf, 1.5, np.inf])
+        tails = [1.0, spline_m_tail_mass(1.5, x), 0.0]
+        np.testing.assert_array_equal(spline_m_tail_mass(ys, x), tails)
+        np.testing.assert_array_equal(spline_m(ys, x), [0.0, spline_m(1.5, x), 0.0])
+
+    @pytest.mark.parametrize("y", [np.nan, np.array([1.5, np.nan, 2.5])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("f", [spline_m, spline_m_tail_mass])
+    def test_nan_point_is_domain_error(self, f, y):
+        with pytest.raises(DomainError, match="NaN"):
+            f(y, (3.0, 2.0, 1.0))
+
     def test_matches_quadrature(self):
         rng = np.random.default_rng(5)
         x = np.sort(rng.uniform(0.0, 3.0, 5))[::-1]
