@@ -66,7 +66,7 @@ def _coerce(value, kind, key):
             out = list(value)
         else:  # pragma: no cover
             raise AssertionError(kind)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         expected = "list of numbers" if kind == "list" else kind
         raise ConfigError(f"key {key!r}: expected {expected}, got {value!r}") from None
     return out

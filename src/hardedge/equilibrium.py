@@ -27,7 +27,8 @@ __all__ = [
 _DIAGONAL_SWITCH = 1e-6
 
 # Twice the underflow threshold: the bisection's absolute width floor, as
-# in LAPACK's most accurate dstebz setting.
+# in LAPACK's most accurate dstebz setting, and the smallest eigenvalue a
+# row may have.
 _ABSTOL = 2.0 * np.finfo(float).tiny
 # A target stops at this relative Newton step or bracket width, or at the
 # absolute floor above; halving from any finite bracket reaches the floor
@@ -43,86 +44,91 @@ _PIVOT_BLOCK = 25
 # Laguerre / inverse Laguerre sampling
 # ---------------------------------------------------------------------------
 
-def _sturm_count(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Eigenvalues below x of each tridiagonal, batch-last.
+def _sturm_count(a, b, x, nan_as_one=False) -> np.ndarray:
+    """Eigenvalues below x of each T = L L^T, batch-last.
 
-    d (N, n) is the diagonal and e2 (N-1, n) the squared off-diagonal of n
-    matrices; x (m, n) holds m shifts per matrix.  Counts the negative
-    pivots of the LDL^T factorization of T - x (Barth, Martin & Wilkinson
-    1967), two ufuncs per pivot, with the signs of each block of pivots
-    counted at once.  A zero pivot makes e2/0 = inf and the next pivot
-    -inf, which IEEE arithmetic counts exactly once; its divide warning is
-    silenced.
+    L is lower bidiagonal with squared diagonal a (N, n) and squared
+    subdiagonal b (N-1, n); x (m, n) holds m shifts per matrix.  Counts the
+    negative pivots q_i = a_i + s_i of L L^T - x, with s_1 = -x and
+    s_{i+1} = (s_i/q_i) b_i - x: the stationary qd transform of LAPACK's
+    dlaneg, exact for a relatively tiny change of a and b (Demmel & Kahan
+    1990).  The signs of each block of pivots are counted at once.  A zero
+    pivot makes the next one -inf, which is counted once; one more pivot on,
+    s/q is inf/inf.  A walk that ends on a NaN pivot is redone with that
+    ratio at its limit 1 (Marques, Riedy & Voemel 2006).
     """
-    N = d.shape[0]
+    N = a.shape[0]
     B = min(_PIVOT_BLOCK, N)
-    # buf[0] carries the previous block's last pivot
-    buf = np.empty((B + 1,) + x.shape)
+    # q[j - 1] at j = 0 is the previous block's last pivot
+    q = np.empty((B,) + x.shape)
     negative = np.empty((B,) + x.shape, dtype=bool)
-    tmp = np.empty(x.shape)
+    s = -x
     count = np.zeros(x.shape, dtype=np.intp)
-    with np.errstate(divide="ignore", over="ignore"):
-        for i0 in range(0, N, B):
-            m = min(B, N - i0)
-            if i0:
-                buf[0] = buf[B]
-            np.subtract(d[i0 : i0 + m, None, :], x, out=buf[1 : m + 1])
-            for j in range(0 if i0 else 1, m):
-                np.divide(e2[i0 + j - 1], buf[j], out=tmp)
-                np.subtract(buf[j + 1], tmp, out=buf[j + 1])
-            np.signbit(buf[1 : m + 1], out=negative[:m])
-            count += np.add.reduce(negative[:m].view(np.uint8), axis=0, dtype=np.uint8)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(N):
+            j = i % B
+            if i:
+                np.divide(s, q[j - 1], out=s)
+                if nan_as_one:
+                    np.copyto(s, 1.0, where=np.isnan(s))
+                np.multiply(s, b[i - 1], out=s)
+                np.subtract(s, x, out=s)
+            np.add(a[i], s, out=q[j])
+            if j == B - 1 or i == N - 1:
+                np.signbit(q[: j + 1], out=negative[: j + 1])
+                count += np.add.reduce(negative[: j + 1].view(np.uint8), axis=0, dtype=np.uint8)
+    if not nan_as_one and np.isnan(q[j]).any():
+        return _sturm_count(a, b, x, True)
     return count
 
 
-def _sturm_newton(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The count of ``_sturm_count`` and S(x) = d/dx log|det(T - x)|, batch-last.
+def _sturm_newton(a, b, ab, x, nan_as_one=False) -> tuple[np.ndarray, np.ndarray]:
+    """The count of ``_sturm_count`` and S(x) = d/dx log|det(L L^T - x)|.
 
-    One walk over the same LDL^T pivots q_i of T - x: S = sum q_i'/q_i, with
-    q_1' = -1 and q_i' = -1 + (e2_{i-1}/q_{i-1}) (q_{i-1}'/q_{i-1}), so the
-    Newton step for det(T - x) = 0 is x - 1/S.  A zero pivot that is not the
-    last makes S NaN, which the caller treats as a step that left its
-    bracket; a zero last pivot (x an eigenvalue) makes S infinite and the
-    step 0.
+    ab = a[:-1] * b.  One walk over the same pivots q_i = a_i + s_i:
+    S = sum s_i'/q_i, with s_1' = -1 and
+    s_{i+1}' = (a_i b_i / q_i) (s_i'/q_i) - 1, so the Newton step for
+    det(L L^T - x) = 0 is x - 1/S.  A zero pivot that is not the last makes
+    S NaN, which the caller treats as a step that left its bracket; a zero
+    last pivot (x an eigenvalue) makes S infinite and the step 0.  A walk
+    that ends on a NaN pivot is redone as in ``_sturm_count``; S stays NaN.
     """
-    N = d.shape[0]
+    N = a.shape[0]
     B = min(_PIVOT_BLOCK, N)
-    # q[0] and r[0] carry the previous block's last pivot and q'/q
-    q = np.empty((B + 1,) + x.shape)
-    r = np.empty((B + 1,) + x.shape)
+    # q[j - 1] and r[j - 1] at j = 0 are the previous block's last pivot and s'/q
+    q = np.empty((B,) + x.shape)
+    r = np.empty((B,) + x.shape)
     negative = np.empty((B,) + x.shape, dtype=bool)
-    t = np.empty(x.shape)
+    s = -x
+    ds = np.full(x.shape, -1.0)
     count = np.zeros(x.shape, dtype=np.intp)
     S = np.zeros(x.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i0 in range(0, N, B):
-            m = min(B, N - i0)
-            if i0:
-                q[0], r[0] = q[B], r[B]
-            np.subtract(d[i0 : i0 + m, None, :], x, out=q[1 : m + 1])
-            if not i0:
-                np.divide(-1.0, q[1], out=r[1])
-            for j in range(0 if i0 else 1, m):
-                np.divide(e2[i0 + j - 1], q[j], out=t)
-                np.subtract(q[j + 1], t, out=q[j + 1])
-                np.multiply(t, r[j], out=t)
-                np.subtract(t, 1.0, out=t)
-                np.divide(t, q[j + 1], out=r[j + 1])
-            np.signbit(q[1 : m + 1], out=negative[:m])
-            count += np.add.reduce(negative[:m].view(np.uint8), axis=0, dtype=np.uint8)
-            S += np.add.reduce(r[1 : m + 1], axis=0)
+        for i in range(N):
+            j = i % B
+            if i:
+                np.divide(s, q[j - 1], out=s)
+                if nan_as_one:
+                    np.copyto(s, 1.0, where=np.isnan(s))
+                np.multiply(s, b[i - 1], out=s)
+                np.subtract(s, x, out=s)
+                np.multiply(r[j - 1], ab[i - 1], out=ds)
+                np.divide(ds, q[j - 1], out=ds)
+                np.subtract(ds, 1.0, out=ds)
+            np.add(a[i], s, out=q[j])
+            np.divide(ds, q[j], out=r[j])
+            if j == B - 1 or i == N - 1:
+                np.signbit(q[: j + 1], out=negative[: j + 1])
+                count += np.add.reduce(negative[: j + 1].view(np.uint8), axis=0, dtype=np.uint8)
+                S += np.add.reduce(r[: j + 1], axis=0)
+    if not nan_as_one and np.isnan(q[j]).any():
+        return _sturm_newton(a, b, ab, x, True)
     return count, S
 
 
-def _not_positive_definite(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Rows whose LDL^T pivots at x = 0 are not all > 0, batch-last."""
-    q = d[0]
-    bad = q <= 0
-    with np.errstate(divide="ignore", over="ignore"):
-        for i in range(1, d.shape[0]):
-            q = d[i] - e2[i - 1] / q
-            bad |= q <= 0
-    return bad
+def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The bracket's midpoint in sigma = sqrt(x), L's singular value."""
+    return (0.5 * (np.sqrt(lo) + np.sqrt(hi))) ** 2
 
 
 def _narrow(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -130,15 +136,15 @@ def _narrow(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return hi - lo <= np.maximum(_RTOL * hi, _ABSTOL)
 
 
-def _isolation_pass(d, e2, lo, hi, c_lo, c_hi) -> np.ndarray:
+def _isolation_pass(a, b, lo, hi, c_lo, c_hi) -> np.ndarray:
     """One bisection sweep over (k, n) brackets and the counts at their ends.
 
     Returns the rows in which each target j is alone in its bracket,
     count(lo) = j - 1 and count(hi) = j, or its bracket is narrow.
     """
     target = np.arange(1, lo.shape[0] + 1)[:, None]
-    mid = 0.5 * (lo + hi)
-    count = _sturm_count(d, e2, mid)
+    mid = _midpoint(lo, hi)
+    count = _sturm_count(a, b, mid)
     below = count >= target
     np.copyto(hi, mid, where=below)
     np.copyto(c_hi, count, where=below)
@@ -147,110 +153,108 @@ def _isolation_pass(d, e2, lo, hi, c_lo, c_hi) -> np.ndarray:
     return (((c_lo == target - 1) & (c_hi == target)) | _narrow(lo, hi)).all(axis=0)
 
 
-def _newton_pass(d, e2, lo, hi, x, last, move, stopped) -> np.ndarray:
+def _newton_pass(a, b, ab, lo, hi, x, last, stopped) -> np.ndarray:
     """One safeguarded Newton pass over (k, n) iterates x in their brackets.
 
     The count at x narrows the bracket.  A target stops when its Newton
     step |1/S| <= 1e-12 x (tested first: at an eigenvalue S is infinite and
     the step 0) or when its bracket is narrow; its x is then kept.
-    Otherwise a step at most half the last one taken (``last``, inf after a
-    midpoint) is taken.  Close to the eigenvalue S is rounding noise and
-    the steps stall: one in the same direction doubles the last move
-    (``move``) rather than creep; one that turns back, as between the two
-    bracket ends, gives way to the midpoint, as does any move out of
-    [lo, hi].  Returns the rows whose targets have all stopped.
+    Otherwise the step is taken if it lands in [lo, hi] and is at most half
+    the last step taken (``last``, inf after a midpoint), and the bracket's
+    midpoint is taken if not.  Returns the rows whose targets have all
+    stopped.
     """
     target = np.arange(1, lo.shape[0] + 1)[:, None]
-    count, S = _sturm_newton(d, e2, x)
+    count, S = _sturm_newton(a, b, ab, x)
     below = count >= target
     np.copyto(hi, x, where=below)
     np.copyto(lo, x, where=~below)
-    # S = +-inf at an eigenvalue gives step 0, and 0 * inf a NaN test
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         step = -1.0 / S
-        expand = step * last > 0
     converged = np.abs(step) <= _RTOL * x
-    stall = 2.0 * np.abs(step) > np.abs(last)
-    expand &= stall
-    trial = x + np.where(expand, 2.0 * move, step)
-    take = (lo <= trial) & (trial <= hi) & (expand | ~stall)
-    nxt = np.where(converged, x + step, np.where(take, trial, 0.5 * (lo + hi)))
+    trial = x + step
+    take = (lo <= trial) & (trial <= hi) & (2.0 * np.abs(step) <= np.abs(last))
     live = ~stopped
     np.copyto(last, np.where(take, step, np.inf), where=live)
-    np.copyto(move, nxt - x, where=live)
-    np.copyto(x, nxt, where=live)
+    np.copyto(x, np.where(converged | take, trial, _midpoint(lo, hi)), where=live)
     stopped |= converged | _narrow(lo, hi)
     return stopped.all(axis=0)
 
 
-def _until_done(step, d, e2, state: list, passes: int) -> int:
-    """Apply ``step(d, e2, *state)`` to the rows still running until all are done.
+def _until_done(step, mats: list, state: list, passes: int) -> int:
+    """Apply ``step(*mats, *state)`` to the rows still running until all are done.
 
-    ``state`` holds (k, n) arrays that each pass updates in place and that
-    hold every row's final values on return.  Once half the rows still
-    running are done, they leave the batch.  Returns ``passes`` plus the
-    passes taken; past _MAX_SWEEPS in all raises ConvergenceFailure.
+    ``mats`` holds the batch-last (., n) inputs and ``state`` (k, n) arrays
+    that each pass updates in place and that hold every row's final values
+    on return.  Once half the rows still running are done, they leave the
+    batch.  Returns ``passes`` plus the passes taken; past _MAX_SWEEPS in
+    all raises ConvergenceFailure.
     """
-    rows = np.arange(d.shape[1])
+    rows = np.arange(mats[0].shape[1])
     live = list(state)
     while passes < _MAX_SWEEPS:
         passes += 1
-        done = step(d, e2, *live)
+        done = step(*mats, *live)
         if 2 * np.count_nonzero(done) >= rows.size:
             for full, part in zip(state, live):
                 full[:, rows[done]] = part[:, done]
             if done.all():
                 return passes
             keep = ~done
-            rows, d, e2 = rows[keep], d[:, keep], e2[:, keep]
-            live = [a[:, keep] for a in live]
+            rows, mats = rows[keep], [m[:, keep] for m in mats]
+            live = [p[:, keep] for p in live]
     raise ConvergenceFailure(f"tridiagonal bisection did not converge in {_MAX_SWEEPS} sweeps")
 
 
-def _bisect_smallest(d: np.ndarray, e2: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """The k smallest eigenvalues of n positive definite tridiagonals.
+def _bisect_smallest(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """The k smallest eigenvalues of n matrices L L^T, L lower bidiagonal.
 
-    d (N, n) and e2 (N-1, n) batch-last, k < N.  All k x n targets start on
-    [0, hi], hi the Gershgorin bound of the trailing k x k block: by Cauchy
-    interlacing it bounds the k-th eigenvalue of T.  Two phases follow,
-    each on all rows at once:
+    a (N, n) and b (N-1, n) batch-last are the squares of L's diagonal and
+    subdiagonal, k < N.  All k x n targets start on [0, hi], hi the
+    Gershgorin bound of the trailing k x k block of L L^T: by Cauchy
+    interlacing it bounds the k-th eigenvalue.  Two phases follow, each on
+    all rows at once:
 
-    1. Isolation: Sturm-count bisection until each target is alone in its
-       bracket (``_isolation_pass``).
+    1. Isolation: Sturm-count bisection in sigma = sqrt(x) until each
+       target is alone in its bracket (``_isolation_pass``).
     2. Newton: from each bracket's midpoint, safeguarded Newton passes on
-       det(T - x) that walk the same LDL^T pivots (``_newton_pass``), until
+       det(L L^T - x) that walk the same pivots (``_newton_pass``), until
        the step is within 1e-12 relative or the bracket is that narrow.
 
     Returns the (n, k) eigenvalues, rows increasing, and the count sweeps
     plus Newton passes taken.
     """
-    N, n = d.shape
-    e = np.sqrt(e2[N - k :])
-    bound = d[N - k :].copy()
+    N, n = a.shape
+    ab = a[:-1] * b
+    e = np.sqrt(ab[N - k :])
+    bound = a[N - k :] + b[N - k - 1 :]
     bound[:-1] += e
     bound[1:] += e
     hi = np.repeat(bound.max(axis=0, keepdims=True), k, axis=0)
     lo = np.zeros((k, n))
     # counts at the bracket ends; hi's is N + 1 until hi has been counted
     counts = [np.zeros((k, n), np.intp), np.full((k, n), N + 1)]
-    passes = _until_done(_isolation_pass, d, e2, [lo, hi, *counts], 0)
-    x = 0.5 * (lo + hi)
-    state = [lo, hi, x, np.full((k, n), np.inf), np.zeros((k, n)), np.zeros((k, n), bool)]
-    passes = _until_done(_newton_pass, d, e2, state, passes)
+    passes = _until_done(_isolation_pass, [a, b], [lo, hi, *counts], 0)
+    x = _midpoint(lo, hi)
+    state = [lo, hi, x, np.full((k, n), np.inf), np.zeros((k, n), bool)]
+    passes = _until_done(_newton_pass, [a, b, ab], state, passes)
     return x.T, passes
 
 
 def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray:
     """The k smallest eigenvalues of n Laguerre draws, rows increasing.
 
-    k = N solves each row by one ``dsterf`` call: the QL/QR root-free
-    solver that ``eigh_tridiagonal`` reaches through ``dstevd``, without its
-    per-call checks.  k < N finds all k x n eigenvalues at once: Sturm-count
-    bisection isolates each, then Newton steps converge from the same LDL^T
-    pivots (``_bisect_smallest``).  The gamma draws do not depend on k.
-    A row that is numerically not positive definite, which happens near
-    eta = -1, raises ConvergenceFailure: on the dsterf path a smallest
-    eigenvalue <= 0, on the top-k path a pivot <= 0 at x = 0.
+    Each draw is T = L L^T, L lower bidiagonal with chi-distributed
+    entries.  k = N solves each row's T by one ``dsterf`` call: the QL/QR
+    root-free solver that ``eigh_tridiagonal`` reaches through ``dstevd``,
+    without its per-call checks; it is exact to ~eps |T| in absolute terms.
+    k < N finds all k x n eigenvalues at once from the squares of L's
+    entries: Sturm-count bisection isolates each, then Newton steps converge
+    from the same qd pivots (``_bisect_smallest``), to high relative
+    accuracy.  The gamma draws do not depend on k.  A row whose smallest
+    eigenvalue comes out <= 2 * tiny raises ConvergenceFailure: near
+    eta = -1 on the dsterf path, where it falls below that solver's
+    absolute error, and on either path for a gamma draw of exactly 0.
     """
     if not eta > -1:
         raise ParameterError(f"need eta > -1, got {eta}")
@@ -276,21 +280,16 @@ def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray
                 if info != 0:
                     raise ConvergenceFailure(f"tridiagonal eigensolve failed (info={info})")
                 out[r] = lam
-        bad = int(np.count_nonzero(out[:, 0] <= 0))
     else:
-        d = np.ascontiguousarray(diag_sq.T)
-        d[1:] += sub_sq.T
-        e2 = np.multiply(diag_sq.T[:-1], sub_sq.T, out=np.empty((N - 1, n)))
-        _check_finite(d, e2)
-        bad = int(np.count_nonzero(_not_positive_definite(d, e2)))
-        if not bad:
-            out = _bisect_smallest(d, e2, k)[0]
-    # Near eta = -1 the smallest eigenvalue can fall below the solvers'
-    # absolute error, ~eps * |T|.
+        a, b = np.ascontiguousarray(diag_sq.T), np.ascontiguousarray(sub_sq.T)
+        del diag_sq, sub_sq
+        _check_finite(a, b)
+        out = _bisect_smallest(a, b, k)[0]
+    bad = int(np.count_nonzero(out[:, 0] <= _ABSTOL))
     if bad:
         raise ConvergenceFailure(
             f"smallest Laguerre eigenvalue <= 0 in {bad} of {n} rows "
-            f"(eta={eta}, N={N}): below the eigensolver's absolute accuracy"
+            f"(eta={eta}, N={N}): below the eigensolver's accuracy"
         )
     return out / 2.0
 
@@ -318,12 +317,16 @@ def inverse_laguerre_samples(
     Rows are sorted decreasing.  ``top=k`` returns only the k largest inverse
     points, shape (n, k): the first k columns of the full draw from the same
     stream, from the k smallest Laguerre eigenvalues of all rows found at
-    once: Sturm-count bisection until each is isolated, then Newton steps on
-    the same LDL^T pivots.  Both solvers are exact to ~eps |T| in absolute
-    terms, so the two agree to ~1e-9 relative for eta >= 0, and to ~4e-8 at
-    eta = -0.5, N = 200, where the smallest eigenvalue is ~1e-6.
-    ``top=None`` or ``N`` is the full draw, solved by ``dsterf``.  Either
-    way the random stream advances alike.
+    once by counting on the bidiagonal factor's own entries: Sturm-count
+    bisection until each is isolated, then Newton steps on the same qd
+    pivots.  That path is accurate to ~1e-14 relative at any eta > -1; only
+    a row whose smallest eigenvalue underflows, as a gamma draw of 0 near
+    eta = -1 makes it, raises ConvergenceFailure.
+    ``top=None`` or ``N`` is the full draw, solved by ``dsterf``, exact to
+    ~eps |T| in absolute terms: it agrees with the top-k path to ~1e-9
+    relative for eta >= 0, and to ~4e-8 at eta = -0.5, N = 200, where the
+    smallest eigenvalue is ~1e-6, and it refuses rows near eta = -1.
+    Either way the random stream advances alike.
     """
     if top is not None and not 1 <= top <= N:
         raise DomainError(f"top must be in 1..N={N}, got {top}")

@@ -268,6 +268,23 @@ class TestConfigKinds:
         assert f"config error: {named} must be a nonnegative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["experiment", "hard-edge-density", "--set", "N=Infinity", "--set", "eta=1",
+              "--set", "n=10", "--set", "bins=[0.1,2]"], "N"),
+            (["sample-equilibrium", "--set", "N=2", "--set", "eta=1", "--set", "n=-Infinity"],
+             "n"),
+            (["experiment", "uniform-approx", "--set", "sizes=[4]", "--set", "n=10",
+              "--set", "seed=Infinity"], "seed"),
+        ],
+        ids=["experiment-key", "command-key", "seed"],
+    )
+    def test_infinite_integer_is_a_config_error(self, tmp_path, capsys, argv, key):
+        # int(inf) raises OverflowError, not ValueError
+        assert run_cli(tmp_path, *argv) == 1
+        assert f"config error: key {key!r}: expected int, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "--set", "horizon=1"],
@@ -434,7 +451,6 @@ class TestExperimentCommand:
             ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=-1"]),
             ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=0"]),
             ("hard-edge-density", ["N=100", "eta=1", "n=10", "bins=[0.1,2]", "min_count=0", "top=101"]),
-            ("hard-edge-density", ["N=100", "eta=-0.9", "n=300", "bins=[0.1,2]", "min_count=0"]),
             ("collision-bound", ["sizes=[2.5]", "delta=0.05", "eps=0.1", "t=0.01", "n=10"]),
             ("uniform-approx", ["sizes=[4,8.5]", "n=10"]),
             ("coupling-l2", ["omega_xs=[1]", "N_list=[4.5,8]", "T=0.01"]),
@@ -450,7 +466,7 @@ class TestExperimentCommand:
             "collision-dt0", "coupling-negative-T", "coupling-dt0", "uniform-bump-one-entry",
             "uniform-bump-empty-interval", "collision-eps0", "collision-negative-eps",
             "hard-edge-decreasing-bins", "hard-edge-negative-top", "hard-edge-top0",
-            "hard-edge-top-above-N", "hard-edge-eta-near-minus-1", "collision-fractional-size",
+            "hard-edge-top-above-N", "collision-fractional-size",
             "uniform-fractional-size", "coupling-fractional-N_list", "coupling-repeated-N_list",
             "intertwining-nan-eta", "matrix-nan-eta", "coupling-nan-gamma",
         ],
@@ -462,6 +478,19 @@ class TestExperimentCommand:
         assert run_cli(tmp_path, *argv) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_hard_edge_near_eta_minus_one_reaches_its_verdict(self, tmp_path, capsys):
+        # the top-k sampler solves every row at eta = -0.9, so the run ends on
+        # its verdict, not on a ConvergenceFailure
+        argv = ["experiment", "hard-edge-density", "--seed", "1"]
+        for item in ["N=100", "eta=-0.9", "n=300", "bins=[0.1,2]", "min_count=0"]:
+            argv += ["--set", item]
+        assert run_cli(tmp_path, *argv) == 2
+        assert "error:" not in capsys.readouterr().err
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["statistics"]["bins_used"] == 1.0
+        assert doc["statistics"]["sup_rel_error"] == pytest.approx(0.745, abs=5e-4)
+        assert doc["verdicts"] == {"sup_rel_error": False}
 
     @pytest.mark.parametrize(
         "name, settings, named",

@@ -86,15 +86,23 @@ class TestInverseLaguerre:
 
 
 class TestNearEtaMinusOne:
-    # the id "dstebz" stays for the top-k path, now a batch-last bisection
-    @pytest.mark.parametrize("top", [None, 1], ids=["dsterf", "dstebz"])
+    # the full draw only: the top-k path solves these rows (next test)
+    @pytest.mark.parametrize("top", [None], ids=["dsterf"])
     def test_eigenvalue_at_or_below_zero_is_convergence_failure(self, top):
         # at eta = -0.9 a few of 300 rows have a smallest eigenvalue below
-        # the solvers' absolute error: dsterf returns it <= 0, and the
-        # bisection meets a pivot <= 0 at zero
+        # dsterf's absolute error, and it returns them <= 0
         match = r"<= 0 in \d+ of 300 rows \(eta=-0.9, N=2\)"
         with pytest.raises(ConvergenceFailure, match=match):
             inverse_laguerre_samples(2, -0.9, 300, RandomSource(0, 2), top=top)
+
+    def test_top_path_solves_every_row_to_high_relative_accuracy(self):
+        # the same 300 rows: counting on L's own entries resolves the
+        # smallest eigenvalue, 5.9e-49 in one row, to full relative accuracy
+        top = inverse_laguerre_samples(2, -0.9, 300, RandomSource(0, 2), top=1)
+        a, b = laguerre_factor(2, -0.9, 300, RandomSource(0, 2))
+        want = np.array([golub_kahan_smallest(a[r], b[r], 1) for r in range(300)])
+        assert want.min() < 1e-48
+        np.testing.assert_allclose(2.0 / top, want, rtol=1e-12, atol=0)
 
 
 class NanGamma:
@@ -102,6 +110,20 @@ class NanGamma:
 
     def gamma(self, shape, scale=1.0, size=None):
         return np.full(size, np.nan)
+
+
+class ZeroDiagonalGamma:
+    """Stub stream whose gamma draws are 1, save one diagonal draw of 0."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def gamma(self, shape, scale=1.0, size=None):
+        out = np.ones(size)
+        if self.calls == 0:
+            out[1, 2] = 0.0
+        self.calls += 1
+        return out
 
 
 class TestInverseLaguerreTop:
@@ -145,41 +167,63 @@ class TestInverseLaguerreTop:
         with pytest.raises(ConvergenceFailure, match="eigensolve failed"):
             inverse_laguerre_samples(5, 1.0, 3, RandomSource(15), top=top)
 
+    def test_zero_diagonal_draw_is_convergence_failure(self):
+        # a diagonal draw of exactly 0 makes L, and so T, singular
+        with pytest.raises(ConvergenceFailure, match=r"<= 0 in 1 of 3 rows"):
+            inverse_laguerre_samples(5, 1.0, 3, ZeroDiagonalGamma(), top=2)
+
     def test_bisection_out_of_sweeps_is_convergence_failure(self, monkeypatch):
         monkeypatch.setattr(equilibrium, "_MAX_SWEEPS", 3)
         with pytest.raises(ConvergenceFailure, match="did not converge in 3 sweeps"):
             inverse_laguerre_samples(5, 1.0, 3, RandomSource(15), top=2)
 
 
-def laguerre_tridiagonal(N, eta, n, rng):
-    """The sampler's tridiagonal, row-major (main, off), from the same draws."""
-    diag_sq = rng.gamma(eta + N - np.arange(N), scale=2.0, size=(n, N))
-    sub_sq = rng.gamma(np.arange(N - 1, 0, -1, dtype=float), scale=2.0, size=(n, N - 1))
-    main = diag_sq.copy()
-    main[:, 1:] += sub_sq
-    return main, np.sqrt(diag_sq[:, :-1] * sub_sq)
+def laguerre_factor(N, eta, n, rng):
+    """The sampler's squared bidiagonal entries, row-major (a, b), from the same draws."""
+    a = rng.gamma(eta + N - np.arange(N), scale=2.0, size=(n, N))
+    b = rng.gamma(np.arange(N - 1, 0, -1, dtype=float), scale=2.0, size=(n, N - 1))
+    return a, b
 
 
-def batch_last(main, off):
-    """(d, e2) as the bisection takes them: (N, n) and (N-1, n)."""
-    return np.ascontiguousarray(main.T), np.ascontiguousarray((off**2).T)
+def tridiagonal(a, b):
+    """T = L L^T as (main, off), of one row or of each row."""
+    main = a.copy()
+    main[..., 1:] += b
+    return main, np.sqrt(a[..., :-1] * b)
+
+
+def eigenvalues(a, b):
+    """Every eigenvalue of each row's T, (n, N), from row-major (a, b)."""
+    out = []
+    for ar, br in zip(a, b):
+        main, off = tridiagonal(ar, br)
+        out.append(np.linalg.eigvalsh(np.diag(main) + np.diag(off, 1) + np.diag(off, -1)))
+    return np.array(out)
+
+
+def golub_kahan_smallest(a, b, k):
+    """The k smallest eigenvalues of one row's T, as squared singular values
+    of L: dstebz on the 2N x 2N zero-diagonal Golub-Kahan form, which finds
+    them to high relative accuracy (Demmel & Kahan 1990)."""
+    N = a.size
+    off = np.empty(2 * N - 1)
+    off[0::2], off[1::2] = np.sqrt(a), np.sqrt(b)
+    tiny = 2.0 * np.finfo(float).tiny
+    return dstebz(np.zeros(2 * N), off, 2, 0.0, 0.0, N + 1, N + k, tiny, "E")[1][:k] ** 2
 
 
 def sampler_row(N, eta, n, rng, row):
-    """Row ``row`` of the top-k sampler's (d, e2), bit for bit, as (N, 1) and (N-1, 1)."""
-    diag_sq = rng.gamma(eta + N - np.arange(N), scale=2.0, size=(n, N))[row]
-    sub_sq = rng.gamma(np.arange(N - 1, 0, -1, dtype=float), scale=2.0, size=(n, N - 1))[row]
-    d = diag_sq.copy()
-    d[1:] += sub_sq
-    return d[:, None], (diag_sq[:-1] * sub_sq)[:, None]
+    """Row ``row`` of the top-k sampler's (a, b), bit for bit, as (N, 1) and (N-1, 1)."""
+    a, b = laguerre_factor(N, eta, n, rng)
+    return a[row][:, None], b[row][:, None]
 
 
-def assert_matches_dstebz(lam, d, e2):
+def assert_matches_dstebz(lam, a, b):
     k = lam.shape[1]
     tiny = 2.0 * np.finfo(float).tiny
-    off = np.sqrt(e2[:, 0])
-    want = dstebz(d[:, 0], off, 2, 0.0, 0.0, 1, k, tiny, "E")[1][:k]
-    norm = d.max() + 2.0 * off.max()
+    main, off = tridiagonal(a[:, 0], b[:, 0])
+    want = dstebz(main, off, 2, 0.0, 0.0, 1, k, tiny, "E")[1][:k]
+    norm = main.max() + 2.0 * off.max()
     np.testing.assert_allclose(lam[0], want, rtol=1e-9, atol=np.finfo(float).eps * norm)
 
 
@@ -191,95 +235,91 @@ class TestBisection:
     def test_matches_dstebz(self, N, k, eta):
         n = 20
         top = inverse_laguerre_samples(N, eta, n, RandomSource(16, N), top=k)
-        main, off = laguerre_tridiagonal(N, eta, n, RandomSource(16, N))
+        a, b = laguerre_factor(N, eta, n, RandomSource(16, N))
         tiny = 2.0 * np.finfo(float).tiny
+        main, off = tridiagonal(a, b)
         lam = np.array(
             [dstebz(main[r], off[r], 2, 0.0, 0.0, 1, k, tiny, "E")[1][:k] for r in range(n)]
         )
-        # Both are Sturm-count bisections, exact to ~eps |T| absolute; at
-        # eta = -0.5, N = 200 that alone is ~5e-9 of the smallest eigenvalue
+        # dstebz on T is exact to ~eps |T| absolute; at eta = -0.5, N = 200
+        # that alone is ~5e-9 of the smallest eigenvalue
         norm = main.max() + 2.0 * off.max(initial=0.0)
         np.testing.assert_allclose(2.0 / top, lam, rtol=1e-9, atol=np.finfo(float).eps * norm)
+        # the top-k path counts on L's own entries, to high relative accuracy
+        want = np.array([golub_kahan_smallest(a[r], b[r], k) for r in range(n)])
+        np.testing.assert_allclose(2.0 / top, want, rtol=1e-12, atol=0)
 
     def test_count_matches_eigvalsh_across_pivot_blocks(self):
         # N = 60 spans three pivot blocks, so the carried pivot is exercised
         N, n = 60, 7
-        main, off = laguerre_tridiagonal(N, 0.5, n, RandomSource(17))
-        d, e2 = batch_last(main, off)
-        lam = np.array([np.linalg.eigvalsh(np.diag(m) + np.diag(o, 1) + np.diag(o, -1))
-                        for m, o in zip(main, off)])
+        a, b = laguerre_factor(N, 0.5, n, RandomSource(17))
+        lam = eigenvalues(a, b)
         x = np.random.default_rng(0).uniform(0.0, lam.max(), size=(4, n))
         want = (lam.T[:, None, :] < x).sum(axis=0)
-        np.testing.assert_array_equal(equilibrium._sturm_count(d, e2, x), want)
+        np.testing.assert_array_equal(equilibrium._sturm_count(a.T.copy(), b.T.copy(), x), want)
 
     def test_exact_zero_pivot_counts_once_without_warning(self):
-        # the first pivot of T - 1 is exactly 0; e2/0 = inf must raise no
-        # RuntimeWarning (warnings are errors here) and be counted once
-        d = np.array([[1.0], [2.0], [3.0]])
-        e2 = np.array([[1.0], [1.0]])
-        T = np.diag(d[:, 0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+        # T = L L^T = [[1, 1, 0], [1, 2, 1], [0, 1, 3]].  The first pivot of
+        # T - 1 is exactly 0: the next is -inf, counted once, and the one
+        # after needs the ratio inf/inf, redone as 1.  None of it may raise
+        # a RuntimeWarning (warnings are errors here)
+        a = np.array([[1.0], [1.0], [2.0]])
+        b = np.array([[1.0], [1.0]])
+        T = np.diag([1.0, 2.0, 3.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
         want = np.count_nonzero(np.linalg.eigvalsh(T) < 1.0)
-        assert equilibrium._sturm_count(d, e2, np.array([[1.0]]))[0, 0] == want == 1
+        assert equilibrium._sturm_count(a, b, np.array([[1.0]]))[0, 0] == want == 1
+        count, S = equilibrium._sturm_newton(a, b, a[:-1] * b, np.array([[1.0]]))
+        assert count[0, 0] == 1 and np.isnan(S[0, 0])
         # the eigenvalue 2 is isolated in [2, 3], on its lower end; Newton's
-        # first step, from 2.5, leaves the bracket and falls back to 2.25
-        assert 2.5 - 1.0 / equilibrium._sturm_newton(d, e2, np.array([[2.5]]))[1][0, 0] < 2.0
-        lam, passes = equilibrium._bisect_smallest(d, e2, 2)
+        # first step, from 2.5, leaves the bracket and falls back to the midpoint
+        S = equilibrium._sturm_newton(a, b, a[:-1] * b, np.array([[2.5]]))[1]
+        assert 2.5 - 1.0 / S[0, 0] < 2.0
+        lam, passes = equilibrium._bisect_smallest(a, b, 2)
         np.testing.assert_allclose(lam[0], np.linalg.eigvalsh(T)[:2], rtol=1e-12)
         assert passes <= 25
 
     def test_newton_pass_matches_eigenvalues_across_pivot_blocks(self):
         # S(x) = d/dx log|det(T - x)| = sum over eigenvalues of 1/(x - lambda)
         N, n = 60, 7
-        main, off = laguerre_tridiagonal(N, 0.5, n, RandomSource(17))
-        d, e2 = batch_last(main, off)
-        lam = np.array([np.linalg.eigvalsh(np.diag(m) + np.diag(o, 1) + np.diag(o, -1))
-                        for m, o in zip(main, off)])
+        a, b = laguerre_factor(N, 0.5, n, RandomSource(17))
+        lam = eigenvalues(a, b)
+        a, b = a.T.copy(), b.T.copy()
         x = np.random.default_rng(0).uniform(0.0, lam.max(), size=(4, n))
-        count, S = equilibrium._sturm_newton(d, e2, x)
-        np.testing.assert_array_equal(count, equilibrium._sturm_count(d, e2, x))
+        count, S = equilibrium._sturm_newton(a, b, a[:-1] * b, x)
+        np.testing.assert_array_equal(count, equilibrium._sturm_count(a, b, x))
         want = (1.0 / (x[None] - lam.T[:, None, :])).sum(axis=0)
         np.testing.assert_allclose(S, want, rtol=1e-7)
 
     def test_sweeps_stay_bounded(self):
-        # isolation takes about log2(hi / gap) count sweeps and Newton a few
-        # passes more: about 25 at N = 200, where bisection alone took 53 ...
-        main, off = laguerre_tridiagonal(200, 1.0, 100, RandomSource(18))
-        lam, passes = equilibrium._bisect_smallest(*batch_last(main, off), 3)
+        # isolation takes about log4(hi / gap) count sweeps and Newton a few
+        # passes more: about 15 at N = 200, where bisection alone took 53 ...
+        a, b = laguerre_factor(200, 1.0, 100, RandomSource(18))
+        lam, passes = equilibrium._bisect_smallest(a.T.copy(), b.T.copy(), 3)
         assert passes <= 30
-        # ... and an eigenvalue of 5e-31 makes each Newton step overshoot
-        # below 0 until x is ~1e-15, still far inside the sweep bound:
-        # T = B B^T with B = [[1e-15, 0], [1, 1]]
-        d, e2 = np.array([[1e-30], [2.0]]), np.array([[1e-30]])
-        lam, passes = equilibrium._bisect_smallest(d, e2, 1)
+        # ... and an eigenvalue of 5e-31, 30 orders of magnitude below the
+        # bracket's top, still takes far fewer than the sweep bound:
+        # T = L L^T with L = [[1e-15, 0], [1, 1]]
+        a, b = np.array([[1e-30], [1.0]]), np.array([[1.0]])
+        lam, passes = equilibrium._bisect_smallest(a, b, 1)
         np.testing.assert_allclose(lam[0, 0], 5e-31, rtol=1e-10)
         assert passes <= 145 < equilibrium._MAX_SWEEPS
 
-    def test_newton_steps_that_turn_back_give_way_to_the_midpoint(self):
-        # in this row rounding makes Newton map each end of the smallest
-        # eigenvalue's bracket, 1.01e-12 relative wide, onto the other end;
-        # taking those steps never stopped
-        d, e2 = sampler_row(200, 1.0, 1000, RandomSource(10).child(0).child(0), 619)
-        lam, passes = equilibrium._bisect_smallest(d, e2, 3)
+    def test_row_with_a_bracket_at_the_width_floor_matches_dstebz(self):
+        # a hard-edge row whose smallest eigenvalue counting on T left in a
+        # bracket 1.01e-12 relative wide, where Newton mapped each end onto
+        # the other
+        a, b = sampler_row(200, 1.0, 1000, RandomSource(10).child(0).child(0), 619)
+        lam, passes = equilibrium._bisect_smallest(a, b, 3)
         assert passes <= 30
-        assert_matches_dstebz(lam, d, e2)
+        assert_matches_dstebz(lam, a, b)
 
-    def test_stalled_newton_steps_double_the_move(self):
-        # this row's smallest eigenvalue, 3.3e-4, is resolved only to ~eps |T|
-        # ~ 1e-10 relative: that close, S is rounding noise and Newton creeps
-        # by steps that do not shrink.  Doubling the move crosses the
-        # eigenvalue in 21 passes; falling back to the midpoint took 63
-        d, e2 = sampler_row(50, -0.5, 1000, RandomSource(3, 50), 726)
-        lam, passes = equilibrium._bisect_smallest(d, e2, 5)
+    def test_row_with_a_small_smallest_eigenvalue_matches_dstebz(self):
+        # this row's smallest eigenvalue, 3.3e-4, counting on T resolved only
+        # to ~eps |T| ~ 1e-10 relative, where Newton's steps stalled
+        a, b = sampler_row(50, -0.5, 1000, RandomSource(3, 50), 726)
+        lam, passes = equilibrium._bisect_smallest(a, b, 5)
         assert passes <= 35
-        assert_matches_dstebz(lam, d, e2)
-
-    def test_pivot_at_or_below_zero_marks_a_row(self):
-        # rows: positive definite, singular (last pivot 0), indefinite
-        d = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        e2 = np.array([[0.5, 1.0, 2.0]])
-        np.testing.assert_array_equal(
-            equilibrium._not_positive_definite(d, e2), [False, True, True]
-        )
+        assert_matches_dstebz(lam, a, b)
 
 
 class TestBesselJ:
