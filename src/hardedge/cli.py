@@ -405,7 +405,7 @@ def _cmd_experiment(args) -> int:
     return 0 if report.passed else 2
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardedge",
         description="Numerical laboratory for hard-edge eigenvalue diffusions",
@@ -431,9 +431,17 @@ def main(argv=None) -> int:
     p_ex.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                       help="worker threads (results are identical for any value)")
     p_ex.set_defaults(func=_cmd_experiment)
+    return parser
 
+
+# Built once on import, with argparse's first gettext lookup, so that main
+# only parses.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 

@@ -14,6 +14,7 @@ generator on the same keys, and differ from today's in every statistic.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: load it on import, not in the first draw
 
 __all__ = ["RandomSource"]
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg.lapack import dstebz
 from scipy.special import gamma as gamma_fn
+from scipy.special import jv
 from scipy.stats import invgamma, kstest
 
 from hardedge.equilibrium import (
@@ -68,7 +69,7 @@ class TestInverseLaguerre:
         assert stat.pvalue > 0.01
 
     # the id "dstebz" stays for the top-k path, now a batch-last bisection
-    @pytest.mark.parametrize("top", [None, 1], ids=["dsterf", "dstebz"])
+    @pytest.mark.parametrize("top", [None, 1], ids=["full", "dstebz"])
     @pytest.mark.parametrize("eta", [-1.0, np.nan])
     def test_parameter_guard_names_eta(self, eta, top):
         # a NaN eta fails the eta > -1 check, not the solver's finiteness check
@@ -86,14 +87,15 @@ class TestInverseLaguerre:
 
 
 class TestNearEtaMinusOne:
-    # the full draw only: the top-k path solves these rows (next test)
-    @pytest.mark.parametrize("top", [None], ids=["dsterf"])
-    def test_eigenvalue_at_or_below_zero_is_convergence_failure(self, top):
-        # at eta = -0.9 a few of 300 rows have a smallest eigenvalue below
-        # dsterf's absolute error, and it returns them <= 0
-        match = r"<= 0 in \d+ of 300 rows \(eta=-0.9, N=2\)"
-        with pytest.raises(ConvergenceFailure, match=match):
-            inverse_laguerre_samples(2, -0.9, 300, RandomSource(0, 2), top=top)
+    def test_full_draw_solves_every_row(self):
+        # at eta = -0.9 a few of 300 rows have a smallest eigenvalue far below
+        # eps |T|; the full draw counts on L's own entries, as the top-k path
+        # does, and resolves every eigenvalue of every row
+        full = inverse_laguerre_samples(2, -0.9, 300, RandomSource(0, 2))
+        a, b = laguerre_factor(2, -0.9, 300, RandomSource(0, 2))
+        want = np.array([golub_kahan_smallest(a[r], b[r], 2) for r in range(300)])
+        assert want.min() < 1e-48
+        np.testing.assert_allclose(2.0 / full, want, rtol=1e-12, atol=0)
 
     def test_top_path_solves_every_row_to_high_relative_accuracy(self):
         # the same 300 rows: counting on L's own entries resolves the
@@ -159,18 +161,12 @@ class TestInverseLaguerreTop:
         with pytest.raises(ConvergenceFailure, match="non-finite"):
             inverse_laguerre_samples(N, 1.0, 3, NanGamma(), top=top)
 
-    @pytest.mark.parametrize(
-        "name, result, top", [("dsterf", (np.zeros(5), 1), None)], ids=["dsterf-info"]
-    )
-    def test_lapack_failure_is_convergence_failure(self, monkeypatch, name, result, top):
-        monkeypatch.setattr(equilibrium, name, lambda *args: result)
-        with pytest.raises(ConvergenceFailure, match="eigensolve failed"):
-            inverse_laguerre_samples(5, 1.0, 3, RandomSource(15), top=top)
-
     def test_zero_diagonal_draw_is_convergence_failure(self):
-        # a diagonal draw of exactly 0 makes L, and so T, singular
-        with pytest.raises(ConvergenceFailure, match=r"<= 0 in 1 of 3 rows"):
-            inverse_laguerre_samples(5, 1.0, 3, ZeroDiagonalGamma(), top=2)
+        # a diagonal draw of exactly 0 makes L, and so T, singular; the full
+        # draw and the top-k path alike
+        for top in (None, 2):
+            with pytest.raises(ConvergenceFailure, match=r"<= 0 in 1 of 3 rows"):
+                inverse_laguerre_samples(5, 1.0, 3, ZeroDiagonalGamma(), top=top)
 
     def test_bisection_out_of_sweeps_is_convergence_failure(self, monkeypatch):
         monkeypatch.setattr(equilibrium, "_MAX_SWEEPS", 3)
@@ -248,6 +244,15 @@ class TestBisection:
         # the top-k path counts on L's own entries, to high relative accuracy
         want = np.array([golub_kahan_smallest(a[r], b[r], k) for r in range(n)])
         np.testing.assert_allclose(2.0 / top, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("N, eta, n", [(3, 0.5, 200), (8, -0.5, 200), (50, 1.0, 20)])
+    def test_full_draw_matches_golub_kahan(self, N, eta, n):
+        # every eigenvalue to high relative accuracy, the smallest included;
+        # dsterf on T, exact only to ~eps |T|, missed (8, -0.5) by 5.7e-10
+        full = inverse_laguerre_samples(N, eta, n, RandomSource(21, N))
+        a, b = laguerre_factor(N, eta, n, RandomSource(21, N))
+        want = np.array([golub_kahan_smallest(a[r], b[r], N) for r in range(n)])
+        np.testing.assert_allclose(2.0 / full, want, rtol=1e-12, atol=0)
 
     def test_count_matches_eigvalsh_across_pivot_blocks(self):
         # N = 60 spans three pivot blocks, so the carried pivot is exercised
@@ -349,6 +354,32 @@ class TestBesselJ:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             bessel_j(0.0, -1.0)
+
+    @pytest.mark.parametrize("nu", [-1.0, -2.5, np.nan])
+    def test_order_guard(self, nu):
+        with pytest.raises(ParameterError, match="needs nu > -1"):
+            bessel_j(nu, 1.0)
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 5.0])
+    def test_matches_scipy(self, nu):
+        # up to x = 1e3, Miller's recurrence and Hankel's expansion agree
+        # with scipy to 1.2e-14 max(1, |J|): scipy's own error, ~1.1e-14 at
+        # nu = -0.9 near x = 15 against a 40-digit reference
+        x = np.geomspace(1e-6, 1e3, 700)
+        got, want = bessel_j(nu, x), jv(nu, x)
+        assert np.all(np.abs(got - want) <= 1.2e-14 * np.maximum(1.0, np.abs(want)))
+        # beyond, against the envelope sqrt(2/(pi x))
+        x = np.geomspace(1e3, 1e5, 700)
+        got, want = bessel_j(nu, x), jv(nu, x)
+        assert np.all(np.abs(got - want) <= 7e-12 * np.sqrt(2.0 / (np.pi * x)))
+
+    def test_zero_and_non_finite_arguments(self):
+        np.testing.assert_array_equal(bessel_j(1.5, np.array([0.0, 0.0])), [0.0, 0.0])
+        # at nu = 200, x = 5016 Miller's normalisation overflows: a failure,
+        # not the 0 that dividing by an infinite sum gives
+        for nu, x in ((-0.5, 0.0), (0.0, np.inf), (0.0, np.nan), (200.0, 5016.0)):
+            with pytest.raises(ConvergenceFailure, match="evaluation failed"):
+                bessel_j(nu, x)
 
 
 class TestBesselKernel:
