@@ -193,7 +193,8 @@ def _kernel_table(cfg, rng):
     ok = grid.size and np.isfinite(grid).all() and (grid > 0).all() and (np.diff(grid) > 0).all()
     if not ok:
         raise ConfigError(f"grid must be finite, positive and increasing, got {grid.tolist()}")
-    rows = [(x, y, inverse_bessel_kernel(cfg["eta"], x, y)) for x in grid for y in grid]
+    x, y = np.meshgrid(grid, grid, indexing="ij")
+    rows = zip(x.ravel(), y.ravel(), inverse_bessel_kernel(cfg["eta"], x, y).ravel())
     return "kernel.csv", ["x", "y", "value"], rows
 
 

@@ -53,65 +53,39 @@ _TARGET_BLOCK = 8192
 # Laguerre / inverse Laguerre sampling
 # ---------------------------------------------------------------------------
 
-def _sturm_count(a, b, x, nan_as_one=False) -> np.ndarray:
-    """Eigenvalues below x of each T = L L^T, batch-last.
+def _sturm_count(a, b, x, ab=None, nan_as_one=False) -> np.ndarray | tuple:
+    """Eigenvalues below x of each T = L L^T, batch-last; with ``ab``, also the slope.
 
     L is lower bidiagonal with squared diagonal a (N, n) and squared
     subdiagonal b (N-1, n); x (m, n) holds m shifts per matrix.  Counts the
     negative pivots q_i = a_i + s_i of L L^T - x, with s_1 = -x and
     s_{i+1} = (s_i/q_i) b_i - x: the stationary qd transform of LAPACK's
     dlaneg, exact for a relatively tiny change of a and b (Demmel & Kahan
-    1990).  The signs of each block of pivots are counted at once.  A zero
-    pivot makes the next one -inf, which is counted once; one more pivot on,
-    s/q is inf/inf.  A walk that ends on a NaN pivot is redone with that
-    ratio at its limit 1 (Marques, Riedy & Voemel 2006).
-    """
-    N = a.shape[0]
-    B = min(_PIVOT_BLOCK, N)
-    # q[j - 1] at j = 0 is the previous block's last pivot
-    q = np.empty((B,) + x.shape)
-    negative = np.empty((B,) + x.shape, dtype=bool)
-    s = -x
-    count = np.zeros(x.shape, dtype=np.intp)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(N):
-            j = i % B
-            if i:
-                np.divide(s, q[j - 1], out=s)
-                if nan_as_one:
-                    np.copyto(s, 1.0, where=np.isnan(s))
-                np.multiply(s, b[i - 1], out=s)
-                np.subtract(s, x, out=s)
-            np.add(a[i], s, out=q[j])
-            if j == B - 1 or i == N - 1:
-                np.signbit(q[: j + 1], out=negative[: j + 1])
-                count += np.add.reduce(negative[: j + 1].view(np.uint8), axis=0, dtype=np.uint8)
-    if not nan_as_one and np.isnan(q[j]).any():
-        return _sturm_count(a, b, x, True)
-    return count
+    1990).  The signs of each block of pivots are counted at once.
 
-
-def _sturm_newton(a, b, ab, x, nan_as_one=False) -> tuple[np.ndarray, np.ndarray]:
-    """The count of ``_sturm_count`` and S(x) = d/dx log|det(L L^T - x)|.
-
-    ab = a[:-1] * b.  One walk over the same pivots q_i = a_i + s_i:
-    S = sum s_i'/q_i, with s_1' = -1 and
+    Given ab = a[:-1] * b, the same walk also returns (count, S) with
+    S(x) = d/dx log|det(L L^T - x)| = sum s_i'/q_i, s_1' = -1 and
     s_{i+1}' = (a_i b_i / q_i) (s_i'/q_i) - 1, so the Newton step for
-    det(L L^T - x) = 0 is x - 1/S.  A zero pivot that is not the last makes
-    S NaN, which the caller treats as a step that left its bracket; a zero
-    last pivot (x an eigenvalue) makes S infinite and the step 0.  A walk
-    that ends on a NaN pivot is redone as in ``_sturm_count``; S stays NaN.
+    det(L L^T - x) = 0 is x - 1/S.  That walk costs about twice a count.
+
+    A zero pivot makes the next one -inf, which is counted once; one more
+    pivot on, s/q is inf/inf.  A walk that ends on a NaN pivot is redone
+    with that ratio at its limit 1 (Marques, Riedy & Voemel 2006).  A zero
+    pivot that is not the last makes S NaN, after the redo as well, which
+    the caller treats as a step that left its bracket; a zero last pivot
+    (x an eigenvalue) makes S infinite and the step 0.
     """
     N = a.shape[0]
     B = min(_PIVOT_BLOCK, N)
     # q[j - 1] and r[j - 1] at j = 0 are the previous block's last pivot and s'/q
     q = np.empty((B,) + x.shape)
-    r = np.empty((B,) + x.shape)
     negative = np.empty((B,) + x.shape, dtype=bool)
     s = -x
-    ds = np.full(x.shape, -1.0)
     count = np.zeros(x.shape, dtype=np.intp)
-    S = np.zeros(x.shape)
+    if ab is not None:
+        r = np.empty((B,) + x.shape)
+        ds = np.full(x.shape, -1.0)
+        S = np.zeros(x.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(N):
             j = i % B
@@ -121,18 +95,21 @@ def _sturm_newton(a, b, ab, x, nan_as_one=False) -> tuple[np.ndarray, np.ndarray
                     np.copyto(s, 1.0, where=np.isnan(s))
                 np.multiply(s, b[i - 1], out=s)
                 np.subtract(s, x, out=s)
-                np.multiply(r[j - 1], ab[i - 1], out=ds)
-                np.divide(ds, q[j - 1], out=ds)
-                np.subtract(ds, 1.0, out=ds)
             np.add(a[i], s, out=q[j])
-            np.divide(ds, q[j], out=r[j])
+            if ab is not None:
+                if i:
+                    np.multiply(r[j - 1], ab[i - 1], out=ds)
+                    np.divide(ds, q[j - 1], out=ds)
+                    np.subtract(ds, 1.0, out=ds)
+                np.divide(ds, q[j], out=r[j])
             if j == B - 1 or i == N - 1:
                 np.signbit(q[: j + 1], out=negative[: j + 1])
                 count += np.add.reduce(negative[: j + 1].view(np.uint8), axis=0, dtype=np.uint8)
-                S += np.add.reduce(r[: j + 1], axis=0)
+                if ab is not None:
+                    S += np.add.reduce(r[: j + 1], axis=0)
     if not nan_as_one and np.isnan(q[j]).any():
-        return _sturm_newton(a, b, ab, x, True)
-    return count, S
+        return _sturm_count(a, b, x, ab, True)
+    return count if ab is None else (count, S)
 
 
 def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -165,16 +142,18 @@ def _isolation_pass(a, b, lo, hi, c_lo, c_hi) -> np.ndarray:
 def _newton_pass(a, b, ab, lo, hi, x, last, stopped) -> np.ndarray:
     """One safeguarded Newton pass over (k, n) iterates x in their brackets.
 
-    The count at x narrows the bracket.  A target stops when its Newton
-    step |1/S| <= 1e-12 x (tested first: at an eigenvalue S is infinite and
-    the step 0) or when its bracket is narrow; its x is then kept.
+    One ``_sturm_count`` walk with ab = a[:-1] * b gives the count at x,
+    which narrows the bracket, and the slope S, which gives the Newton step.
+    A target stops when its Newton step |1/S| <= 1e-12 x (tested first: at
+    an eigenvalue S is infinite and the step 0) or when its bracket is
+    narrow; its x is then kept.
     Otherwise the step is taken if it lands in [lo, hi] and is at most half
     the last step taken (``last``, inf after a midpoint), and the bracket's
     midpoint is taken if not.  Returns the rows whose targets have all
     stopped.
     """
     target = np.arange(1, lo.shape[0] + 1)[:, None]
-    count, S = _sturm_newton(a, b, ab, x)
+    count, S = _sturm_count(a, b, x, ab)
     below = count >= target
     np.copyto(hi, x, where=below)
     np.copyto(lo, x, where=~below)
@@ -425,37 +404,43 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
     return float(val) if np.isscalar(x) else val
 
 
-def _bessel_kernel_diagonal(eta: float, x: float) -> float:
-    z = np.sqrt(x)
-    j0, j1 = _bessel_pair(eta, np.array([z]))[:, 0]
-    return 0.25 * (j0**2 + j1**2 - (2.0 * eta / z) * j0 * j1)
-
-
-def bessel_kernel(eta: float, x: float, y: float) -> float:
-    """Hard-edge Bessel kernel in squared variables.
+def bessel_kernel(eta: float, x, y) -> float | np.ndarray:
+    """Hard-edge Bessel kernel in squared variables, at x, y > 0 that broadcast.
 
     Off the diagonal this is the divided difference
     [sqrt(x) J_{eta+1}(sqrt(x)) J_eta(sqrt(y)) - (x <-> y)] / (2(x-y));
-    within relative separation 1e-6 the analytic diagonal limit is used.
-    Needs eta > -1.
+    where |x - y| < 1e-6 max(x, y) the analytic diagonal limit is taken at
+    the midpoint.  J_eta and J_{eta+1} come from one ``_bessel_pair`` call
+    on the distinct square roots, so K(x, y) and K(y, x) are equal bit for
+    bit.  Returns a float for scalar x and y.  Needs eta > -1.
     """
     if not eta > -1:
         raise ParameterError(f"need eta > -1, got {eta}")
-    if x <= 0 or y <= 0:
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not (np.all(x > 0) and np.all(y > 0)):
         raise DomainError("bessel_kernel needs x, y > 0")
-    if abs(x - y) < _DIAGONAL_SWITCH * max(x, y):
-        return _bessel_kernel_diagonal(eta, 0.5 * (x + y))
+    diagonal = np.abs(x - y) < _DIAGONAL_SWITCH * np.maximum(x, y)
+    mid = 0.5 * (x + y)
+    x, y = np.where(diagonal, mid, x), np.where(diagonal, mid, y)
     sx, sy = np.sqrt(x), np.sqrt(y)
-    (jx, jy), (jx1, jy1) = _bessel_pair(eta, np.array([sx, sy]))
-    return float((sx * jx1 * jy - sy * jy1 * jx) / (2.0 * (x - y)))
+    roots, where = np.unique(np.stack([sx, sy]), return_inverse=True)
+    (jx, jy), (jx1, jy1) = _bessel_pair(eta, roots)[:, where.reshape((2,) + x.shape)]
+    # the divided difference is 0/0 on the diagonal, where it is not taken
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = (sx * jx1 * jy - sy * jy1 * jx) / (2.0 * (x - y))
+    val = np.where(diagonal, 0.25 * (jx**2 + jx1**2 - (2.0 * eta / sx) * jx * jx1), off)
+    return float(val) if val.ndim == 0 else val
 
 
-def inverse_bessel_kernel(eta: float, x: float, y: float) -> float:
+def inverse_bessel_kernel(eta: float, x, y) -> float | np.ndarray:
     """Correlation kernel of the inverse points process: (8/xy) J(8/x, 8/y).
 
+    x, y > 0 broadcast as in ``bessel_kernel``; a float for scalar x and y.
     The first correlation function (the density of points) is the diagonal
     value.
     """
-    if x <= 0 or y <= 0:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(x > 0) and np.all(y > 0)):
         raise DomainError("inverse_bessel_kernel needs x, y > 0")
-    return float(8.0 / (x * y) * bessel_kernel(eta, 8.0 / x, 8.0 / y))
+    val = 8.0 / (x * y) * bessel_kernel(eta, 8.0 / x, 8.0 / y)
+    return float(val) if val.ndim == 0 else val

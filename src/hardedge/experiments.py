@@ -539,6 +539,11 @@ def run_hard_edge_density(
     increasing = bins.ndim == 1 and bins.size >= 2 and np.all(np.diff(bins) > 0)
     if not (increasing and np.all(np.isfinite(bins))):
         raise DomainError(f"bins must be two or more finite increasing edges, got {bins.tolist()}")
+    centers = 0.5 * (bins[1:] + bins[:-1])
+    if centers[0] <= 0:
+        raise DomainError(
+            f"bins must have positive centres, got centre {centers[0]} in {bins.tolist()}"
+        )
 
     def worker(block_rng, count):
         return inverse_laguerre_samples(N, eta, count, block_rng, top) / N
@@ -546,10 +551,9 @@ def run_hard_edge_density(
     tops = _run_blocks(n, worker, rng.child(0), threads)
     counts, edges = np.histogram(tops.ravel(), bins=bins)
     widths = np.diff(edges)
-    centers = 0.5 * (edges[1:] + edges[:-1])
     emp = counts / (n * widths)
-    kernel = np.array([inverse_bessel_kernel(eta, c, c) for c in centers])
-    kernel4 = np.array([(4.0 / c**2) * bessel_kernel(eta, 4.0 / c, 4.0 / c) for c in centers])
+    kernel = inverse_bessel_kernel(eta, centers, centers)
+    kernel4 = 4.0 / centers**2 * bessel_kernel(eta, 4.0 / centers, 4.0 / centers)
     mask = counts >= min_count
     if not mask.any():
         raise DomainError("no bins reach the minimum count; widen the bins")

@@ -389,8 +389,10 @@ class TestExperimentCommand:
             ("uniform-approx", ["sizes=[4]"], [2, 2]),
             # a worker returning a tuple of arrays, concatenated per field
             ("intertwining", ["x=[3,2,1]", "t=0.01", "n_perm=200"], [2]),
+            # the qd solver and the array kernels
+            ("hard-edge-density", ["N=100", "eta=1", "bins=[0.07,0.12,0.17,0.22,0.32]"], [2]),
         ],
-        ids=["uniform-approx", "intertwining"],
+        ids=["uniform-approx", "intertwining", "hard-edge-density"],
     )
     def test_report_identical_on_the_thread_pool(
         self, tmp_path, monkeypatch, name, settings, expected_pools
@@ -496,6 +498,21 @@ class TestExperimentCommand:
         assert doc["statistics"]["bins_used"] == 1.0
         assert doc["statistics"]["sup_rel_error"] == pytest.approx(0.745, abs=5e-4)
         assert doc["verdicts"] == {"sup_rel_error": False}
+
+    def test_hard_edge_bin_centre_at_or_below_zero_is_named_up_front(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("drew samples for bins that fail a precondition")
+
+        monkeypatch.setattr(experiments, "inverse_laguerre_samples", never)
+        argv = ["experiment", "hard-edge-density", "--seed", "1"]
+        for item in ["N=100", "eta=1", "n=50", "bins=[-0.5,0.5,1.0]", "min_count=0"]:
+            argv += ["--set", item]
+        assert run_cli(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert "bins must have positive centres, got centre 0.0 in [-0.5, 0.5, 1.0]" in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "name, settings, named",

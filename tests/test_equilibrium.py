@@ -273,11 +273,11 @@ class TestBisection:
         T = np.diag([1.0, 2.0, 3.0]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
         want = np.count_nonzero(np.linalg.eigvalsh(T) < 1.0)
         assert equilibrium._sturm_count(a, b, np.array([[1.0]]))[0, 0] == want == 1
-        count, S = equilibrium._sturm_newton(a, b, a[:-1] * b, np.array([[1.0]]))
+        count, S = equilibrium._sturm_count(a, b, np.array([[1.0]]), a[:-1] * b)
         assert count[0, 0] == 1 and np.isnan(S[0, 0])
         # the eigenvalue 2 is isolated in [2, 3], on its lower end; Newton's
         # first step, from 2.5, leaves the bracket and falls back to the midpoint
-        S = equilibrium._sturm_newton(a, b, a[:-1] * b, np.array([[2.5]]))[1]
+        S = equilibrium._sturm_count(a, b, np.array([[2.5]]), a[:-1] * b)[1]
         assert 2.5 - 1.0 / S[0, 0] < 2.0
         lam, passes = equilibrium._bisect_smallest(a, b, 2)
         np.testing.assert_allclose(lam[0], np.linalg.eigvalsh(T)[:2], rtol=1e-12)
@@ -290,7 +290,7 @@ class TestBisection:
         lam = eigenvalues(a, b)
         a, b = a.T.copy(), b.T.copy()
         x = np.random.default_rng(0).uniform(0.0, lam.max(), size=(4, n))
-        count, S = equilibrium._sturm_newton(a, b, a[:-1] * b, x)
+        count, S = equilibrium._sturm_count(a, b, x, a[:-1] * b)
         np.testing.assert_array_equal(count, equilibrium._sturm_count(a, b, x))
         want = (1.0 / (x[None] - lam.T[:, None, :])).sum(axis=0)
         np.testing.assert_allclose(S, want, rtol=1e-7)
@@ -407,6 +407,13 @@ class TestBesselKernel:
         )
         assert val == pytest.approx(0.25, abs=1e-6)
 
+    @pytest.mark.parametrize("x, y", [(np.nan, 1.0), (1.0, np.nan), (0.0, 1.0)])
+    def test_nan_or_nonpositive_argument_is_domain_error(self, x, y):
+        with pytest.raises(DomainError, match="bessel_kernel needs x, y > 0"):
+            bessel_kernel(1.0, x, y)
+        with pytest.raises(DomainError, match="inverse_bessel_kernel needs x, y > 0"):
+            inverse_bessel_kernel(1.0, x, y)
+
     @pytest.mark.parametrize("eta", [-1.0, -2.0, np.nan])
     def test_parameter_guard(self, eta):
         with pytest.raises(ParameterError):
@@ -440,3 +447,18 @@ class TestKernelGrid:
         values = np.array([[inverse_bessel_kernel(1.0, a, b) for b in pts] for a in pts])
         np.testing.assert_allclose(values, values.T, rtol=1e-12, atol=1e-10)
         assert np.all(np.diag(values) >= 0)
+
+    def test_arrays_match_scalar_calls(self):
+        # one call on the grid: the scalar values, and exactly symmetric
+        pts = np.linspace(0.2, 2.0, 6)
+        scalar = np.array([[inverse_bessel_kernel(1.0, a, b) for b in pts] for a in pts])
+        assert type(inverse_bessel_kernel(1.0, 0.2, 0.4)) is float
+        assert type(bessel_kernel(1.0, 2.0, 2.0)) is float
+        values = inverse_bessel_kernel(1.0, *np.meshgrid(pts, pts, indexing="ij"))
+        np.testing.assert_allclose(values, scalar, rtol=1e-13, atol=0)
+        assert np.array_equal(values, values.T)
+        # the diagonal form is chosen per entry: a pair 1e-7 apart among far pairs
+        x = np.array([2.0, 2.0, 0.5, 7.0, 15.0])
+        y = np.array([2.0 + 1e-7, 5.0, 3.0, 7.0, 0.1])
+        want = [bessel_kernel(1.0, u, v) for u, v in zip(x, y)]
+        np.testing.assert_allclose(bessel_kernel(1.0, x, y), want, rtol=1e-13, atol=0)
