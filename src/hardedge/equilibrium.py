@@ -43,7 +43,8 @@ _MAX_SWEEPS = 2100
 # Pivots whose signs are counted per ufunc call; keeps the pivot buffer
 # (B, k, n) under 1 MB at k = 3, n = 1000.
 _PIVOT_BLOCK = 25
-# Rows go to _bisect_smallest in blocks of _TARGET_BLOCK // k, so that its
+# Rows go to _bisect_smallest in blocks of _TARGET_BLOCK // k, and to
+# _embedded_tail_counts in blocks of _TARGET_BLOCK // shifts, so that the
 # pivot buffers stay a few MB at k = N: a full draw at N = 200, n = 1000
 # peaks at ~44 MB in place of ~150 MB, and no slower.
 _TARGET_BLOCK = 8192
@@ -230,16 +231,13 @@ def _bisect_smallest(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, 
     return x.T, passes
 
 
-def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of n Laguerre draws, rows increasing.
+def _laguerre_factor(N: int, eta: float, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The squares (a, b) of L's diagonal and subdiagonal for n Laguerre draws.
 
-    Each draw is T = L L^T, L lower bidiagonal with chi-distributed
-    entries.  All k x n eigenvalues, k = N included, are found at once from
-    the squares of L's entries: Sturm-count bisection isolates each, then
-    Newton steps converge from the same qd pivots (``_bisect_smallest``),
-    to high relative accuracy at any eta > -1.  The gamma draws do not
-    depend on k.  A row whose smallest eigenvalue comes out <= 2 * tiny, as
-    a gamma draw of exactly 0 makes it, raises ConvergenceFailure.
+    Each draw is T = L L^T, L lower bidiagonal with chi-distributed entries
+    (Dumitriu & Edelman 2002).  a is (N, n) and b (N-1, n), batch-last,
+    from two gamma draws whose stream does not depend on the caller.
+    Raises ConvergenceFailure unless every entry is finite.
     """
     if not eta > -1:
         raise ParameterError(f"need eta > -1, got {eta}")
@@ -255,17 +253,72 @@ def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray
     a, b = np.ascontiguousarray(diag_sq.T), np.ascontiguousarray(sub_sq.T)
     del diag_sq, sub_sq
     _check_finite(a, b)
+    return a, b
+
+
+def _underflow_failure(bad: int, n: int, N: int, eta: float) -> ConvergenceFailure:
+    return ConvergenceFailure(
+        f"smallest Laguerre eigenvalue <= 0 in {bad} of {n} rows "
+        f"(eta={eta}, N={N}): below the eigensolver's accuracy"
+    )
+
+
+def _smallest_eigenvalues(N: int, eta: float, n: int, rng, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of n Laguerre draws, rows increasing.
+
+    All k x n eigenvalues, k = N included, are found at once from the
+    squares of L's entries (``_laguerre_factor``): Sturm-count bisection
+    isolates each, then Newton steps converge from the same qd pivots
+    (``_bisect_smallest``), to high relative accuracy at any eta > -1.  The
+    gamma draws do not depend on k.  A row whose smallest eigenvalue comes
+    out <= 2 * tiny, as a gamma draw of exactly 0 makes it, raises
+    ConvergenceFailure.
+    """
+    a, b = _laguerre_factor(N, eta, n, rng)
     out = np.empty((n, k))
     rows = max(1, _TARGET_BLOCK // k)
     for r in range(0, n, rows):
         out[r : r + rows] = _bisect_smallest(a[:, r : r + rows], b[:, r : r + rows], k)[0]
     bad = int(np.count_nonzero(out[:, 0] <= _ABSTOL))
     if bad:
-        raise ConvergenceFailure(
-            f"smallest Laguerre eigenvalue <= 0 in {bad} of {n} rows "
-            f"(eta={eta}, N={N}): below the eigensolver's accuracy"
-        )
+        raise _underflow_failure(bad, n, N, eta)
     return out / 2.0
+
+
+def _embedded_tail_counts(N: int, eta: float, n: int, rng, top: int, edges) -> np.ndarray:
+    """How many embedded top points lie at or above each edge, over n draws.
+
+    The points are those of ``inverse_laguerre_samples(N, eta, n, rng, top)
+    / N`` on the same stream: y = 2/(N lam) over the top smallest
+    eigenvalues lam of each T = L L^T.  A row has min(top, #{lam < 2/(N e)})
+    of them at or above an edge e > 0, and all top at or above e <= 0, so
+    one ``_sturm_count`` walk with one shift per edge gives every count and
+    no eigenvalue is solved.  The walk's first shift is 2 * tiny: a row
+    with an eigenvalue below it raises the ConvergenceFailure of
+    ``_smallest_eigenvalues``.  Rows go in blocks of _TARGET_BLOCK // shifts.
+    Returns the counts, an integer array shaped like ``edges``.
+    """
+    if not 1 <= top <= N:
+        raise DomainError(f"top must be in 1..N={N}, got {top}")
+    a, b = _laguerre_factor(N, eta, n, rng)
+    edges = np.asarray(edges, dtype=float)
+    positive = edges > 0
+    # a subnormal edge's shift overflows to inf, where every pivot counts
+    with np.errstate(over="ignore"):
+        shifts = np.concatenate(([_ABSTOL], 2.0 / (N * edges[positive])))
+    below = np.zeros(shifts.size - 1, dtype=np.intp)
+    bad = 0
+    rows = max(1, _TARGET_BLOCK // shifts.size)
+    for r in range(0, n, rows):
+        x = np.repeat(shifts[:, None], min(rows, n - r), axis=1)
+        count = _sturm_count(a[:, r : r + rows], b[:, r : r + rows], x)
+        bad += int(np.count_nonzero(count[0]))
+        below += np.minimum(count[1:], top).sum(axis=1)
+    if bad:
+        raise _underflow_failure(bad, n, N, eta)
+    tail = np.full(edges.shape, n * top, dtype=np.intp)
+    tail[positive] = below
+    return tail
 
 
 def _check_finite(*arrays) -> None:

@@ -20,7 +20,12 @@ import numpy as np
 
 from . import __version__
 from .core import OmegaPlusPoint, OrderedConfig, SdeParams, embed, lyapunov_f
-from .equilibrium import bessel_kernel, inverse_bessel_kernel, inverse_laguerre_samples
+from .equilibrium import (
+    _embedded_tail_counts,
+    bessel_kernel,
+    inverse_bessel_kernel,
+    inverse_laguerre_samples,
+)
 from .errors import DomainError, ParameterError, StepFailure
 from .kernels import boundary_corner_samples, chain_samples, corner_of_each, corner_samples
 from .rng import RandomSource
@@ -531,7 +536,11 @@ def run_hard_edge_density(
     density (deeper points never reach there).  Alongside the documented
     kernel, the rescaled variant with inverse-coordinate constant 4 is
     reported: that is the scaling the finite-N ensemble actually matches
-    (pinned by the exact mean of the one-point boundary law).
+    (pinned by the exact mean of the one-point boundary law).  Each bin's
+    count is the difference of the tail counts at its edges, which
+    ``_embedded_tail_counts`` takes from Sturm counts on the bidiagonal
+    factor, so no eigenvalue is solved; the counts are those of a histogram
+    of the ``top`` largest points of ``inverse_laguerre_samples(...) / N``.
     """
     if N < 100:
         raise DomainError("hard-edge comparison needs N >= 100")
@@ -546,12 +555,11 @@ def run_hard_edge_density(
         )
 
     def worker(block_rng, count):
-        return inverse_laguerre_samples(N, eta, count, block_rng, top) / N
+        return _embedded_tail_counts(N, eta, count, block_rng, top, bins)[None]
 
-    tops = _run_blocks(n, worker, rng.child(0), threads)
-    counts, edges = np.histogram(tops.ravel(), bins=bins)
-    widths = np.diff(edges)
-    emp = counts / (n * widths)
+    tail = _run_blocks(n, worker, rng.child(0), threads).sum(axis=0)
+    counts = tail[:-1] - tail[1:]
+    emp = counts / (n * np.diff(bins))
     kernel = inverse_bessel_kernel(eta, centers, centers)
     kernel4 = 4.0 / centers**2 * bessel_kernel(eta, 4.0 / centers, 4.0 / centers)
     mask = counts >= min_count

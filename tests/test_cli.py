@@ -389,7 +389,7 @@ class TestExperimentCommand:
             ("uniform-approx", ["sizes=[4]"], [2, 2]),
             # a worker returning a tuple of arrays, concatenated per field
             ("intertwining", ["x=[3,2,1]", "t=0.01", "n_perm=200"], [2]),
-            # the qd solver and the array kernels
+            # the Sturm tail counts, summed over blocks, and the array kernels
             ("hard-edge-density", ["N=100", "eta=1", "bins=[0.07,0.12,0.17,0.22,0.32]"], [2]),
         ],
         ids=["uniform-approx", "intertwining", "hard-edge-density"],
@@ -487,8 +487,8 @@ class TestExperimentCommand:
         assert not (tmp_path / "report.json").exists()
 
     def test_hard_edge_near_eta_minus_one_reaches_its_verdict(self, tmp_path, capsys):
-        # the top-k sampler solves every row at eta = -0.9, so the run ends on
-        # its verdict, not on a ConvergenceFailure
+        # the Sturm tail counts resolve every row at eta = -0.9, so the run
+        # ends on its verdict, not on a ConvergenceFailure
         argv = ["experiment", "hard-edge-density", "--seed", "1"]
         for item in ["N=100", "eta=-0.9", "n=300", "bins=[0.1,2]", "min_count=0"]:
             argv += ["--set", item]
@@ -505,7 +505,7 @@ class TestExperimentCommand:
         def never(*args, **kwargs):
             raise AssertionError("drew samples for bins that fail a precondition")
 
-        monkeypatch.setattr(experiments, "inverse_laguerre_samples", never)
+        monkeypatch.setattr(experiments, "_embedded_tail_counts", never)
         argv = ["experiment", "hard-edge-density", "--seed", "1"]
         for item in ["N=100", "eta=1", "n=50", "bins=[-0.5,0.5,1.0]", "min_count=0"]:
             argv += ["--set", item]

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.linalg.lapack import dstebz
 from scipy.special import gamma as gamma_fn
 from scipy.special import jv
@@ -172,6 +171,41 @@ class TestInverseLaguerreTop:
         monkeypatch.setattr(equilibrium, "_MAX_SWEEPS", 3)
         with pytest.raises(ConvergenceFailure, match="did not converge in 3 sweeps"):
             inverse_laguerre_samples(5, 1.0, 3, RandomSource(15), top=2)
+
+
+class TestEmbeddedTailCounts:
+    EDGES = [-1.0, 0.0, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "N, eta, n, top",
+        [(100, 1.0, 300, 3), (100, -0.9, 300, 2), (120, 0.5, 300, 1), (100, 1.0, 40, 100)],
+    )
+    def test_counts_are_the_histogram_of_the_top_points(self, N, eta, n, top):
+        tail = equilibrium._embedded_tail_counts(N, eta, n, RandomSource(16, N), top, self.EDGES)
+        y = inverse_laguerre_samples(N, eta, n, RandomSource(16, N), top).ravel() / N
+        assert tail.dtype.kind == "i" and tail[0] == y.size == n * top
+        np.testing.assert_array_equal(tail[:-1] - tail[1:], np.histogram(y, self.EDGES)[0])
+        assert tail[-1] == np.count_nonzero(y >= self.EDGES[-1])
+
+    def test_row_blocks_do_not_move_a_count(self, monkeypatch):
+        # 13 shifts at _TARGET_BLOCK = 40: blocks of 3 rows, the last one short
+        want = equilibrium._embedded_tail_counts(100, 1.0, 50, RandomSource(17), 3, self.EDGES)
+        monkeypatch.setattr(equilibrium, "_TARGET_BLOCK", 40)
+        got = equilibrium._embedded_tail_counts(100, 1.0, 50, RandomSource(17), 3, self.EDGES)
+        np.testing.assert_array_equal(got, want)
+
+    def test_zero_diagonal_draw_is_convergence_failure(self):
+        with pytest.raises(ConvergenceFailure, match=r"<= 0 in 1 of 3 rows"):
+            equilibrium._embedded_tail_counts(5, 1.0, 3, ZeroDiagonalGamma(), 2, [0.1, 1.0])
+
+    def test_non_finite_tridiagonal_is_convergence_failure(self):
+        with pytest.raises(ConvergenceFailure, match="non-finite"):
+            equilibrium._embedded_tail_counts(5, 1.0, 3, NanGamma(), 2, [0.1, 1.0])
+
+    @pytest.mark.parametrize("top", [0, 6])
+    def test_top_outside_1_to_n_is_domain_error(self, top):
+        with pytest.raises(DomainError, match=f"top must be in 1..N=5, got {top}"):
+            equilibrium._embedded_tail_counts(5, 1.0, 3, RandomSource(14), top, [0.1, 1.0])
 
 
 def laguerre_factor(N, eta, n, rng):
@@ -382,6 +416,17 @@ class TestBesselJ:
                 bessel_j(nu, x)
 
 
+def panel_quadrature(f, edges, nodes=64):
+    """The integral of f over [edges[0], edges[-1]] by a Gauss-Legendre rule
+    on each panel between consecutive edges, f called once on a panel's nodes."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        total += half * (w @ f(lo + half * (t + 1.0)))
+    return total
+
+
 class TestBesselKernel:
     def test_symmetry(self):
         assert bessel_kernel(1.0, 2.0, 5.0) == pytest.approx(bessel_kernel(1.0, 5.0, 2.0))
@@ -400,11 +445,13 @@ class TestBesselKernel:
 
     def test_integral_identity(self):
         # int_0^inf J_eta(u,u)/u du = 1/(4 eta); pins the kernel normalisation.
-        # Split at u = 10: one quad over [0, inf) misses the bulk and warns.
-        val = sum(
-            quad(lambda u: bessel_kernel(1.0, u, u) / u, a, b, limit=400)[0]
-            for a, b in ((0, 10), (10, np.inf))
-        )
+        # Panels in sigma = sqrt(u), where the density's wiggle cos(2 sigma)
+        # has a fixed period, up to u = 1e4; beyond, u = 1e4/s^2 on (0, 1].
+        def f(u):
+            return bessel_kernel(1.0, u, u) / u
+
+        val = panel_quadrature(lambda s: 2.0 * s * f(s * s), np.linspace(0.0, 100.0, 11))
+        val += panel_quadrature(lambda s: 2e4 * f(1e4 / s**2) / s**3, [0.0, 0.5, 1.0])
         assert val == pytest.approx(0.25, abs=1e-6)
 
     @pytest.mark.parametrize("x, y", [(np.nan, 1.0), (1.0, np.nan), (0.0, 1.0)])
@@ -433,10 +480,14 @@ class TestInverseBesselKernel:
             assert inverse_bessel_kernel(1.0, x, x) >= 0
 
     def test_mass_finite_away_from_origin(self):
-        # integral over [a, inf) converges for a > 0; toward 0 it blows up
-        tail, _ = quad(lambda x: inverse_bessel_kernel(1.0, x, x), 0.5, np.inf, limit=300)
+        # integral over [a, inf) converges for a > 0; toward 0 it blows up.
+        # The tail is x = 0.5/s^2 on s in (0, 1]; toward 0, geometric panels.
+        def rho(x):
+            return inverse_bessel_kernel(1.0, x, x)
+
+        tail = panel_quadrature(lambda s: rho(0.5 / s**2) / s**3, [0.0, 1.0])
         assert np.isfinite(tail) and tail > 0
-        near, _ = quad(lambda x: inverse_bessel_kernel(1.0, x, x), 1e-4, 0.5, limit=300)
+        near = panel_quadrature(rho, np.geomspace(1e-4, 0.5, 21))
         assert near > 10 * tail
 
 
